@@ -230,8 +230,8 @@ func runSparseTick(b *testing.B, mesh int, noFF bool) {
 // active sets touch only live state) and far below the dense
 // BenchmarkNetworkTick (idle-window fast-forward skips the cycles where
 // nothing is due). The noff variant pins the fast-forward escape hatch:
-// it is the PR 6 ticking discipline (every busy cycle executes) and is
-// what cmd/benchjson captures as the mesh_scaling baseline.
+// it is the tick-every-busy-cycle discipline, so the ratio of the two
+// sub-benchmarks at one mesh size is what fast-forward buys on that mesh.
 func BenchmarkNetworkTickSparse(b *testing.B) {
 	for _, mesh := range []int{8, 16, 32, 64} {
 		b.Run(fmt.Sprintf("mesh=%dx%d", mesh, mesh), func(b *testing.B) {

@@ -218,16 +218,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// MustNetwork is NewNetwork that panics on configuration errors; intended
-// for tests and examples.
-func MustNetwork(cfg Config) *Network {
-	n, err := NewNetwork(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 // SetSink registers the delivery callback for a node.
 func (n *Network) SetSink(node int, fn func(now uint64, pkt *Packet)) {
 	n.NIs[node].SetSink(fn)

@@ -14,6 +14,15 @@ func testConfig(w, h int, prio bool) Config {
 	return cfg
 }
 
+// MustNetwork is NewNetwork that panics on configuration errors.
+func MustNetwork(cfg Config) *Network {
+	n, err := NewNetwork(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
 // runNet drives the network until quiescent or maxCycles.
 func runNet(t *testing.T, n *Network, maxCycles uint64) uint64 {
 	t.Helper()

@@ -57,9 +57,8 @@ func SharedCoreBudget(jobs, workers int) int {
 // worker count exceeds the host's CPUs: the shard workers then time-slice
 // a core instead of running in parallel, so -workers cannot pay off and
 // any wall-clock comparison across worker counts on that host is
-// misleading. Commands that accept -workers print this to stderr, and
-// benchjson additionally records it in its JSON report so a performance
-// record carries its own validity note.
+// misleading. Commands that accept -workers print this to stderr, so a
+// wall-clock number taken on such a host carries its own validity note.
 func WorkerCaveat(workers int) string {
 	if cpus := runtime.NumCPU(); workers > cpus {
 		return fmt.Sprintf("%d tick workers on a %d-CPU host: shards time-slice instead of running in parallel, so worker counts above the CPU count slow runs down and their wall-clock numbers are not comparable", workers, cpus)
