@@ -26,8 +26,8 @@ test:
 # ./internal/kernel/protocol), and the fault/recovery layer (the injector
 # is consulted from sharded tick phases). The second line runs the
 # platform-level fault matrix, watchdog tests, and the protocol
-# determinism matrix — every lock protocol × both engines × worker
-# widths — under -race.
+# determinism matrix — every lock protocol × OCOR on/off × {event-driven
+# engine, strict mode} × worker widths 1 and 4 — under -race.
 race:
 	$(GO) test -race ./internal/par/... ./internal/experiments/... ./internal/sim/... ./internal/obs/... ./internal/pool/... ./internal/noc/... ./internal/kernel/... ./internal/kernel/protocol/... ./internal/fault/... ./internal/checkpoint/... ./internal/fleet/... ./internal/journal/...
 	$(GO) test -race -run 'TestFault|TestWatchdog|TestRecovery|TestRunWithTimeout|TestProtocolDeterminismMatrix|TestCheckpoint|TestWarmGrid' .

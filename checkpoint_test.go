@@ -29,10 +29,11 @@ func runToJSON(t *testing.T, sys *System) []byte {
 }
 
 // TestCheckpointRoundTripMatrix is the checkpoint subsystem's end-to-end
-// guarantee: for every lock protocol, both OCOR modes, both engine
-// schedulers and both executor widths, snapshotting a run half-way,
-// restoring the snapshot into a freshly built platform and running to
-// completion produces results byte-identical to the uninterrupted run.
+// guarantee: for every lock protocol, both OCOR modes, the event-driven
+// engine and strict mode, and both executor widths, snapshotting a run
+// half-way, restoring the snapshot into a freshly built platform and
+// running to completion produces results byte-identical to the
+// uninterrupted run.
 // Restored platforms are also immediately re-snapshotted and the two
 // snapshots compared byte-for-byte: a restore must lose nothing a second
 // save could miss.
@@ -50,10 +51,9 @@ func TestCheckpointRoundTripMatrix(t *testing.T) {
 			ref := runToJSON(t, refSys)
 			mid := refSys.Engine.Now() / 2
 
-			for _, poll := range []bool{false, true} {
+			for _, strict := range []bool{false, true} {
 				for _, workers := range []int{1, 4} {
 					cfg := base
-					cfg.PollEngine = poll
 					cfg.Workers = workers
 					if workers > 1 {
 						// Force the sharded tick path (the 4x4 mesh is
@@ -62,36 +62,34 @@ func TestCheckpointRoundTripMatrix(t *testing.T) {
 						ncfg.ParThreshold = -1
 						cfg.NoC = &ncfg
 					}
-					sys, err := New(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
+					sys := newEngineMode(t, cfg, strict)
 					if _, err := sys.RunTo(mid); err != nil {
-						t.Fatalf("proto=%q ocor=%v poll=%v workers=%d: RunTo: %v",
-							proto, ocor, poll, workers, err)
+						t.Fatalf("proto=%q ocor=%v strict=%v workers=%d: RunTo: %v",
+							proto, ocor, strict, workers, err)
 					}
 					snap, err := sys.Snapshot()
 					if err != nil {
-						t.Fatalf("proto=%q ocor=%v poll=%v workers=%d: snapshot: %v",
-							proto, ocor, poll, workers, err)
+						t.Fatalf("proto=%q ocor=%v strict=%v workers=%d: snapshot: %v",
+							proto, ocor, strict, workers, err)
 					}
 					restored, err := Restore(cfg, snap)
 					if err != nil {
-						t.Fatalf("proto=%q ocor=%v poll=%v workers=%d: restore: %v",
-							proto, ocor, poll, workers, err)
+						t.Fatalf("proto=%q ocor=%v strict=%v workers=%d: restore: %v",
+							proto, ocor, strict, workers, err)
 					}
+					restored.Engine.FastForward = !strict
 					snap2, err := restored.Snapshot()
 					if err != nil {
-						t.Fatalf("proto=%q ocor=%v poll=%v workers=%d: re-snapshot: %v",
-							proto, ocor, poll, workers, err)
+						t.Fatalf("proto=%q ocor=%v strict=%v workers=%d: re-snapshot: %v",
+							proto, ocor, strict, workers, err)
 					}
 					if !bytes.Equal(snap.Data, snap2.Data) {
-						t.Fatalf("proto=%q ocor=%v poll=%v workers=%d: re-snapshot of restored platform differs (%d vs %d bytes)",
-							proto, ocor, poll, workers, len(snap.Data), len(snap2.Data))
+						t.Fatalf("proto=%q ocor=%v strict=%v workers=%d: re-snapshot of restored platform differs (%d vs %d bytes)",
+							proto, ocor, strict, workers, len(snap.Data), len(snap2.Data))
 					}
 					if got := runToJSON(t, restored); !bytes.Equal(ref, got) {
-						t.Fatalf("proto=%q ocor=%v poll=%v workers=%d: restored run diverged from uninterrupted:\nref: %s\ngot: %s",
-							proto, ocor, poll, workers, ref, got)
+						t.Fatalf("proto=%q ocor=%v strict=%v workers=%d: restored run diverged from uninterrupted:\nref: %s\ngot: %s",
+							proto, ocor, strict, workers, ref, got)
 					}
 				}
 			}

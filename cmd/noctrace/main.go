@@ -122,11 +122,14 @@ func main() {
 
 	e := sim.NewEngine()
 	e.Register(net)
+	// The injector ticks every cycle of the window, starting at cycle 0.
+	var next uint64
 	inj := &sim.FuncComponent{
 		TickFn: func(now uint64) {
 			if now >= *cycles {
 				return
 			}
+			next = now + 1
 			for s := 0; s < cfg.Nodes(); s++ {
 				if !rng.Bool(*load) {
 					continue
@@ -144,9 +147,9 @@ func main() {
 				}
 			}
 		},
-		NextWakeFn: func(now uint64) uint64 {
-			if now < *cycles {
-				return now + 1
+		NextWakeFn: func(uint64) uint64 {
+			if next < *cycles {
+				return next
 			}
 			return sim.Never
 		},

@@ -23,20 +23,31 @@ func detProfile() workload.Profile {
 	}
 }
 
-// TestPollEngineMatchesEventEngine cross-checks the event-driven scheduler
-// against exhaustive polling: the same configuration must produce identical
-// results either way, for both the baseline and OCOR.
-func TestPollEngineMatchesEventEngine(t *testing.T) {
+// newEngineMode builds cfg's platform and puts its engine in strict mode
+// (every component ticks every cycle) when strict is set, or leaves the
+// default event-driven fast-forward on. Strict mode is the reference the
+// event-driven schedule must reproduce byte-for-byte.
+func newEngineMode(t testing.TB, cfg Config, strict bool) *System {
+	t.Helper()
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Engine.FastForward = !strict
+	return sys
+}
+
+// TestStrictEngineMatchesEventEngine cross-checks the event-driven
+// scheduler against strict mode, which ticks every component every cycle:
+// the same configuration must produce identical results either way, for
+// both the baseline and OCOR.
+func TestStrictEngineMatchesEventEngine(t *testing.T) {
 	for _, ocor := range []bool{false, true} {
 		var got [2]metrics.Results
-		for i, poll := range []bool{false, true} {
-			sys, err := New(Config{
-				Benchmark: detProfile(), Threads: 16, OCOR: ocor,
-				Seed: 7, PollEngine: poll,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+		for i, strict := range []bool{false, true} {
+			sys := newEngineMode(t, Config{
+				Benchmark: detProfile(), Threads: 16, OCOR: ocor, Seed: 7,
+			}, strict)
 			r, err := sys.Run()
 			if err != nil {
 				t.Fatal(err)
@@ -44,48 +55,44 @@ func TestPollEngineMatchesEventEngine(t *testing.T) {
 			got[i] = r
 		}
 		if !reflect.DeepEqual(got[0], got[1]) {
-			t.Fatalf("ocor=%v: event-driven results differ from polled:\nevent: %+v\npoll:  %+v", ocor, got[0], got[1])
+			t.Fatalf("ocor=%v: event-driven results differ from strict:\nevent:  %+v\nstrict: %+v", ocor, got[0], got[1])
 		}
 	}
 }
 
 // TestObserverDoesNotPerturbResults attaches a structured-event recorder
-// and requires results byte-identical to an unobserved run, across both
-// engines and both OCOR modes: every emission site must be read-only, so
-// tracing a run can never change what it measures.
+// and requires results byte-identical to an unobserved run, under the
+// event-driven engine and strict mode and both OCOR modes: every emission
+// site must be read-only, so tracing a run can never change what it
+// measures.
 func TestObserverDoesNotPerturbResults(t *testing.T) {
 	for _, ocor := range []bool{false, true} {
-		for _, poll := range []bool{false, true} {
+		for _, strict := range []bool{false, true} {
 			var got [2]metrics.Results
 			var rec *obs.Recorder
 			for i, observe := range []bool{false, true} {
 				cfg := Config{
-					Benchmark: detProfile(), Threads: 16, OCOR: ocor,
-					Seed: 7, PollEngine: poll,
+					Benchmark: detProfile(), Threads: 16, OCOR: ocor, Seed: 7,
 				}
 				if observe {
 					rec = obs.NewRecorder(0)
 					cfg.Obs = rec
 				}
-				sys, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				r, err := sys.Run()
+				r, err := newEngineMode(t, cfg, strict).Run()
 				if err != nil {
 					t.Fatal(err)
 				}
 				got[i] = r
 			}
 			if !reflect.DeepEqual(got[0], got[1]) {
-				t.Fatalf("ocor=%v poll=%v: observed run differs from unobserved:\nbare:     %+v\nobserved: %+v",
-					ocor, poll, got[0], got[1])
+				t.Fatalf("ocor=%v strict=%v: observed run differs from unobserved:\nbare:     %+v\nobserved: %+v",
+					ocor, strict, got[0], got[1])
 			}
 			if rec.Len() == 0 {
-				t.Fatalf("ocor=%v poll=%v: recorder attached but captured nothing", ocor, poll)
+				t.Fatalf("ocor=%v strict=%v: recorder attached but captured nothing", ocor, strict)
 			}
 			if rec.Stats.Acquires == 0 {
-				t.Fatalf("ocor=%v poll=%v: no acquisitions recorded", ocor, poll)
+				t.Fatalf("ocor=%v strict=%v: no acquisitions recorded", ocor, strict)
 			}
 		}
 	}
@@ -94,33 +101,28 @@ func TestObserverDoesNotPerturbResults(t *testing.T) {
 // TestWorkersDeterminismMatrix is the tick executor's end-to-end
 // guarantee: the full platform produces byte-identical results across the
 // whole matrix {sequential, workers=2, workers=4} × {pool, nopool} ×
-// {OCOR off, OCOR on} × {fast-forward, conservative ticking}. The
+// {OCOR off, OCOR on} × {fast-forward, strict mode}. The
 // comparison is on the JSON serialisation of the consolidated results, so
 // any drift — a counter, a latency accumulator, a single cycle — fails
 // byte-for-byte. The 16-thread profile runs on a 4x4 mesh, well under the
 // executor's default work thresholds, so the NoC config forces
 // ParThreshold -1 (always parallel when a pool is attached) to make every
-// worker-count cell actually exercise the sharded path. The NoFastForward
-// dimension pins idle-window fast-forward as a pure scheduling
-// optimisation: skipping quiescent windows must leave the platform export
-// byte-identical to ticking every busy cycle.
+// worker-count cell actually exercise the sharded path. The strict
+// dimension pins fast-forward as a pure scheduling optimisation: skipping
+// cycles with no due work must leave the platform export byte-identical
+// to ticking every component every cycle.
 func TestWorkersDeterminismMatrix(t *testing.T) {
 	for _, ocor := range []bool{false, true} {
 		for _, nopool := range []bool{false, true} {
 			var ref []byte
 			for _, workers := range []int{1, 2, 4} {
-				for _, noff := range []bool{false, true} {
+				for _, strict := range []bool{false, true} {
 					ncfg := noc.DefaultConfig()
 					ncfg.ParThreshold = -1
-					ncfg.NoFastForward = noff
-					sys, err := New(Config{
+					r, err := newEngineMode(t, Config{
 						Benchmark: detProfile(), Threads: 16, OCOR: ocor,
 						Seed: 7, NoPool: nopool, Workers: workers, NoC: &ncfg,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					r, err := sys.Run()
+					}, strict).Run()
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -133,8 +135,8 @@ func TestWorkersDeterminismMatrix(t *testing.T) {
 						continue
 					}
 					if !bytes.Equal(ref, got) {
-						t.Fatalf("ocor=%v nopool=%v workers=%d noff=%v: export diverged from sequential:\nseq: %s\ngot: %s",
-							ocor, nopool, workers, noff, ref, got)
+						t.Fatalf("ocor=%v nopool=%v workers=%d strict=%v: export diverged from sequential:\nseq: %s\ngot: %s",
+							ocor, nopool, workers, strict, ref, got)
 					}
 				}
 			}

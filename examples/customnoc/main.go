@@ -39,11 +39,13 @@ func run(priority bool) {
 	rng := sim.NewRNG(1)
 	pol := core.DefaultPolicy()
 
-	// Heavy data traffic into the hotspot for 2000 cycles; at cycle 500,
+	// Heavy data traffic into the hotspot for cycles 0-1999; at cycle 500,
 	// four lock requests with distinct RTR values enter from one corner.
 	injected := false
+	var next uint64 // the injector's next cycle
 	e.Register(&sim.FuncComponent{
 		TickFn: func(now uint64) {
+			next = now + 1
 			if now < 2000 {
 				for s := 0; s < cfg.Nodes(); s++ {
 					if s != hotspot && rng.Bool(0.08) {
@@ -60,9 +62,9 @@ func run(priority bool) {
 				}
 			}
 		},
-		NextWakeFn: func(now uint64) uint64 {
-			if now < 2000 {
-				return now + 1
+		NextWakeFn: func(uint64) uint64 {
+			if next < 2000 {
+				return next
 			}
 			return sim.Never
 		},

@@ -3,7 +3,6 @@ package repro
 import (
 	"testing"
 
-	"repro/internal/noc"
 	"repro/internal/sim"
 )
 
@@ -76,9 +75,9 @@ func TestGiantMeshSmoke(t *testing.T) {
 // 64x64 mesh — 4096 nodes, of which 98% never host a thread, exactly the
 // regime the O(active) ticking targets. The fused four-worker
 // fast-forward run must complete, stay coherent, and be byte-identical to
-// a sequential run with fast-forward disabled (the conservative
-// tick-every-busy-cycle discipline), closing the {workers} x
-// {fast-forward} matrix at the platform level on a giant mesh.
+// a sequential run in strict mode (every component ticks every cycle),
+// closing the {workers} x {fast-forward} matrix at the platform level on
+// a giant mesh.
 func TestGiantMeshSmoke64(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64x64 platform smoke skipped in -short")
@@ -112,26 +111,19 @@ func TestGiantMeshSmoke64(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ncfg := noc.DefaultConfig()
-	ncfg.NoFastForward = true
-	seq, err := New(Config{
+	seqRes, err := newEngineMode(t, Config{
 		Benchmark:  p,
 		Threads:    64,
 		MeshWidth:  64,
 		MeshHeight: 64,
 		OCOR:       true,
 		Seed:       11,
-		NoC:        &ncfg,
 		Watchdog:   &sim.WatchdogConfig{},
-	})
+	}, true).Run()
 	if err != nil {
-		t.Fatal(err)
-	}
-	seqRes, err := seq.Run()
-	if err != nil {
-		t.Fatalf("sequential conservative 64x64 run failed: %v", err)
+		t.Fatalf("sequential strict 64x64 run failed: %v", err)
 	}
 	if seqRes != res {
-		t.Fatalf("64x64 workers=4 fast-forward diverged from conservative sequential:\n%+v\n%+v", res, seqRes)
+		t.Fatalf("64x64 workers=4 fast-forward diverged from strict sequential:\n%+v\n%+v", res, seqRes)
 	}
 }

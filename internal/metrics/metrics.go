@@ -152,8 +152,10 @@ type Results struct {
 	// perfectly even treatment; see Collector.JainFairness).
 	Fairness float64
 
-	// Tail quantile bounds (power-of-two bucket precision) of the
-	// per-acquisition blocking time and competition overhead.
+	// 95th-percentile blocking time and competition overhead per
+	// acquisition, as the lower bound of the power-of-two bucket the
+	// quantile falls in (sim.Histogram.Quantile): the true p95 may be up
+	// to twice this value.
 	BTP95  uint64
 	COHP95 uint64
 }

@@ -71,8 +71,10 @@ func TestNoSourceStarvation(t *testing.T) {
 		// All nodes bombard the centre with equal-priority control packets.
 		e := sim.NewEngine()
 		e.Register(n)
+		ticks := 0
 		e.Register(&sim.FuncComponent{
 			TickFn: func(now uint64) {
+				ticks++
 				if now >= 2000 {
 					return
 				}
@@ -93,6 +95,9 @@ func TestNoSourceStarvation(t *testing.T) {
 		e.RunUntil(func() bool { return e.Now() > 2000 && !n.Busy() })
 		if n.Busy() {
 			t.Fatalf("prio=%v: did not drain", prio)
+		}
+		if ticks == 0 {
+			t.Fatalf("prio=%v: injector never ticked", prio)
 		}
 		min, max := 1<<30, 0
 		for s := 0; s < cfg.Nodes(); s++ {

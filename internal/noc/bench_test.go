@@ -181,14 +181,13 @@ func (g *sparseGen) SetWaker(w sim.Waker) { g.waker = w }
 // axis) on a LinkLatency-8 mesh, with think cycles between a delivery and
 // the reverse send. One "op" of the benchmark advances the run by eight
 // deliveries.
-func runSparseTick(b *testing.B, mesh int, noFF bool) {
+func runSparseTick(b *testing.B, mesh int, strict bool) {
 	const (
 		flows = 1
 		think = 200
 	)
 	cfg := testConfig(mesh, mesh, true)
 	cfg.LinkLatency = 8
-	cfg.NoFastForward = noFF
 	n := MustNetwork(cfg)
 	delivered := 0
 	g := &sparseGen{net: n, ring: make([]sparseRelease, flows+1)}
@@ -202,6 +201,7 @@ func runSparseTick(b *testing.B, mesh int, noFF bool) {
 		n.SetSink(j, resend)
 	}
 	e := sim.NewEngine()
+	e.FastForward = !strict
 	e.Register(n)
 	e.Register(g)
 	rng := sim.NewRNG(42)
@@ -229,8 +229,8 @@ func runSparseTick(b *testing.B, mesh int, noFF bool) {
 // 64x64. Per-op cost should be near-flat in mesh size (the hierarchical
 // active sets touch only live state) and far below the dense
 // BenchmarkNetworkTick (idle-window fast-forward skips the cycles where
-// nothing is due). The noff variant pins the fast-forward escape hatch:
-// it is the tick-every-busy-cycle discipline, so the ratio of the two
+// nothing is due). The strict variant runs the engine in strict mode,
+// which ticks every component every cycle, so the ratio of the two
 // sub-benchmarks at one mesh size is what fast-forward buys on that mesh.
 func BenchmarkNetworkTickSparse(b *testing.B) {
 	for _, mesh := range []int{8, 16, 32, 64} {
@@ -239,7 +239,7 @@ func BenchmarkNetworkTickSparse(b *testing.B) {
 		})
 	}
 	for _, mesh := range []int{8, 16, 32, 64} {
-		b.Run(fmt.Sprintf("noff/mesh=%dx%d", mesh, mesh), func(b *testing.B) {
+		b.Run(fmt.Sprintf("strict/mesh=%dx%d", mesh, mesh), func(b *testing.B) {
 			runSparseTick(b, mesh, true)
 		})
 	}

@@ -117,13 +117,6 @@ type Config struct {
 	// meshes). Both paths produce byte-identical state, so the threshold
 	// only affects speed, never results.
 	ParThreshold int
-	// NoFastForward makes NextWake answer the conservative now+1 whenever
-	// the network is busy instead of the exact NextEventCycle horizon, so
-	// an event-driven engine ticks the network every cycle it holds any
-	// in-flight work. It is the idle-window-skipping escape hatch — both
-	// modes are byte-identical (regression-tested); the flag exists to
-	// isolate fast-forward bugs and to measure its effect.
-	NoFastForward bool
 	// RebalanceEpoch is the period, in fused parallel cycles, at which the
 	// sharded tick executor repartitions the node range by measured
 	// activity (each shard gets an equal share of the active-node weight

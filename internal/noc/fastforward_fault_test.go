@@ -19,44 +19,46 @@ func delayPlan() fault.Plan {
 	return fault.Plan{Seed: 23, DelayRate: 0.5, DelayCycles: 40, ClassMask: 0xffff}
 }
 
-// delayedNet builds a 4x4 priority mesh under delayPlan with a
-// deterministic all-to-all workload and delivery-recording sinks.
-func delayedNet(t *testing.T, noFF bool) (*Network, *fault.Injector, *strings.Builder) {
+// delayedNet builds a 4x4 priority mesh under delayPlan with
+// delivery-recording sinks, and returns send, which injects a
+// deterministic all-to-all workload at cycle now.
+func delayedNet(t *testing.T) (n *Network, inj *fault.Injector, sb *strings.Builder, send func(now uint64)) {
 	t.Helper()
 	cfg := testConfig(4, 4, true)
-	cfg.NoFastForward = noFF
-	n := MustNetwork(cfg)
-	inj := fault.NewInjector(delayPlan())
+	n = MustNetwork(cfg)
+	inj = fault.NewInjector(delayPlan())
 	n.SetFaults(inj)
 
-	var sb strings.Builder
+	sb = &strings.Builder{}
 	for i := 0; i < cfg.Nodes(); i++ {
 		node := i
 		n.SetSink(node, func(now uint64, pkt *Packet) {
-			fmt.Fprintf(&sb, "d n=%d id=%d src=%d hops=%d at=%d\n", node, pkt.ID, pkt.Src, pkt.Hops, now)
+			fmt.Fprintf(sb, "d n=%d id=%d src=%d hops=%d at=%d\n", node, pkt.ID, pkt.Src, pkt.Hops, now)
 			n.FreePacket(pkt)
 		})
 	}
-	rng := sim.NewRNG(31)
-	for s := 0; s < cfg.Nodes(); s++ {
-		for k := 0; k < 6; k++ {
-			d := rng.Intn(cfg.Nodes())
-			if d == s {
-				continue
+	send = func(now uint64) {
+		rng := sim.NewRNG(31)
+		for s := 0; s < cfg.Nodes(); s++ {
+			for k := 0; k < 6; k++ {
+				d := rng.Intn(cfg.Nodes())
+				if d == s {
+					continue
+				}
+				class := []Class{ClassData, ClassCtrl, ClassLock, ClassWakeup}[k%4]
+				vn := VNetRequest
+				if class == ClassData {
+					vn = VNetResponse
+				}
+				pkt := n.NewPacket(s, d, class, vn, nil)
+				if class == ClassLock {
+					pkt.Prio = core.Priority{Check: true, Class: uint8(1 + k%8), Prog: uint16(s % 4)}
+				}
+				n.Send(now, pkt)
 			}
-			class := []Class{ClassData, ClassCtrl, ClassLock, ClassWakeup}[k%4]
-			vn := VNetRequest
-			if class == ClassData {
-				vn = VNetResponse
-			}
-			pkt := n.NewPacket(s, d, class, vn, nil)
-			if class == ClassLock {
-				pkt.Prio = core.Priority{Check: true, Class: uint8(1 + k%8), Prog: uint16(s % 4)}
-			}
-			n.Send(0, pkt)
 		}
 	}
-	return n, inj, &sb
+	return n, inj, sb, send
 }
 
 // TestNextEventCycleFaultDelayFloor is the regression test for
@@ -71,8 +73,9 @@ func delayedNet(t *testing.T, noFF bool) (*Network, *fault.Injector, *strings.Bu
 // NextEventCycle-sized jumps, so a stuck horizon fails fast instead of
 // timing out.
 func TestNextEventCycleFaultDelayFloor(t *testing.T) {
-	n, inj, _ := delayedNet(t, false)
+	n, inj, _, send := delayedNet(t)
 	now := uint64(0)
+	send(now)
 	steps := 0
 	for n.Busy() {
 		next := n.NextEventCycle(now)
@@ -102,14 +105,17 @@ func TestNextEventCycleFaultDelayFloor(t *testing.T) {
 // TestFastForwardFaultDelayIdentity holds fast-forward to the engine
 // equivalence bar in the fault-delay regime: skipping to NextEventCycle
 // horizons must leave every delivery (node, packet, hop count, cycle) and
-// the final census byte-identical to ticking the network on every cycle.
+// the final census byte-identical to strict mode, which ticks the network
+// on every cycle.
 func TestFastForwardFaultDelayIdentity(t *testing.T) {
-	run := func(noFF bool) string {
-		n, inj, sb := delayedNet(t, noFF)
+	run := func(strict bool) string {
+		n, inj, sb, send := delayedNet(t)
 		e := sim.NewEngine()
+		e.FastForward = !strict
 		e.Register(n)
+		fired := startTraffic(e, send)
 		e.MaxCycles = 100000
-		e.RunUntil(func() bool { return !n.Busy() })
+		e.RunUntil(func() bool { return fired() && !n.Busy() })
 		if n.Busy() {
 			t.Fatal("network not drained")
 		}
@@ -117,7 +123,7 @@ func TestFastForwardFaultDelayIdentity(t *testing.T) {
 		fmt.Fprintf(sb, "stats %+v\n", inj.SnapshotStats())
 		return sb.String()
 	}
-	ref := run(true) // tick every cycle
+	ref := run(true) // strict mode
 	if got := run(false); got != ref {
 		t.Fatalf("fast-forward diverged from per-cycle reference under fault delays:\nref:\n%s\ngot:\n%s", ref, got)
 	}

@@ -71,7 +71,9 @@ func TestNetworkInvariants(t *testing.T) {
 		e := sim.NewEngine()
 		e.Register(n)
 		rng := sim.NewRNG(11)
+		var injTicks, chkTicks int
 		inj := &sim.FuncComponent{TickFn: func(now uint64) {
+			injTicks++
 			if now >= 3000 {
 				return
 			}
@@ -95,11 +97,16 @@ func TestNetworkInvariants(t *testing.T) {
 		}}
 		e.Register(inj)
 		chk := &sim.FuncComponent{TickFn: func(now uint64) {
+			chkTicks++
 			checkInvariants(t, n, now)
 		}, NextWakeFn: func(now uint64) uint64 { return now + 1 }}
 		e.Register(chk)
 		e.MaxCycles = 20000
 		e.RunUntil(func() bool { return e.Now() > 3000 && !n.Busy() })
 		t.Logf("prio=%v end=%d busy=%v act=%d", prio, e.Now(), n.Busy(), n.activity)
+		if injTicks == 0 || chkTicks == 0 {
+			t.Fatalf("prio=%v: injector ticked %d times, checker %d: a component that never ticks checks nothing",
+				prio, injTicks, chkTicks)
+		}
 	}
 }

@@ -498,18 +498,14 @@ func (n *Network) recordDelivery(pkt *Packet) {
 }
 
 // NextWake implements sim.Component: the network needs ticking while any
-// flit, credit or queued packet exists anywhere. Unless the escape hatch
-// Config.NoFastForward is set, the answer is the exact next event cycle,
-// which lets the engine's min-heap jump the clock across idle windows —
-// e.g. the LinkLatency-1 dead cycles of every hop of a lone packet
-// crossing a giant, otherwise-quiet mesh — instead of ticking the network
-// through provable no-ops.
+// flit, credit or queued packet exists anywhere. The answer is the exact
+// next event cycle, which lets the engine's min-heap jump the clock
+// across idle windows — e.g. the LinkLatency-1 dead cycles of every hop
+// of a lone packet crossing a giant, otherwise-quiet mesh — instead of
+// ticking the network through provable no-ops.
 func (n *Network) NextWake(now uint64) uint64 {
 	if !n.Busy() {
 		return sim.Never
-	}
-	if n.Cfg.NoFastForward {
-		return now + 1
 	}
 	return n.NextEventCycle(now)
 }
@@ -518,7 +514,8 @@ func (n *Network) NextWake(now uint64) uint64 {
 // due work, or sim.Never when it is fully quiescent. It is exact, which is
 // what makes skipping safe: a Tick at any cycle before the returned one is
 // a provable no-op, so the skipped and unskipped simulations are
-// byte-identical (the signature matrix holds both engines to that).
+// byte-identical (the signature matrices hold the event-driven engine to
+// strict mode, which ticks the network every cycle).
 //
 // Case analysis over the activity the counter tracks:
 //   - buffered router flits or queued NI packets: the router/injection

@@ -250,7 +250,9 @@ func TestPriorityExpeditesLockPackets(t *testing.T) {
 		rng := sim.NewRNG(11)
 		// Background data traffic converging on node 36 + lock packets from
 		// the corners, injected over 3000 cycles.
+		ticks := 0
 		inj := &sim.FuncComponent{TickFn: func(now uint64) {
+			ticks++
 			if now >= 3000 {
 				return
 			}
@@ -277,6 +279,9 @@ func TestPriorityExpeditesLockPackets(t *testing.T) {
 		e.RunUntil(func() bool { return e.Now() > 3000 && !n.Busy() })
 		if n.Busy() {
 			t.Fatalf("prio=%v network did not drain", prio)
+		}
+		if ticks == 0 {
+			t.Fatalf("prio=%v: injector never ticked", prio)
 		}
 		return n.Stats.NetLatency[ClassLock].Mean()
 	}
@@ -426,7 +431,9 @@ func TestDeterminism(t *testing.T) {
 		rng := sim.NewRNG(99)
 		e := sim.NewEngine()
 		e.Register(n)
+		ticks := 0
 		inj := &sim.FuncComponent{TickFn: func(now uint64) {
+			ticks++
 			if now < 500 && rng.Bool(0.5) {
 				s, d := rng.Intn(16), rng.Intn(16)
 				n.Send(now, n.NewPacket(s, d, ClassData, rng.Intn(NumVNets), nil))
@@ -440,6 +447,9 @@ func TestDeterminism(t *testing.T) {
 		e.Register(inj)
 		e.MaxCycles = 50000
 		e.RunUntil(func() bool { return e.Now() > 500 && !n.Busy() })
+		if ticks == 0 {
+			t.Fatal("injector never ticked")
+		}
 		return sum, e.Now()
 	}
 	s1, c1 := run()

@@ -17,13 +17,38 @@ type sigParams struct {
 	prio         bool
 	workers      int
 	parThreshold int
-	flows        int // injection flows opened per node
-	generations  int // ping-pong bounces per delivered packet
-	stride       int // open flows on every stride-th node only (0 = 1 = all)
-	linkLat      int // Config.LinkLatency override (0 keeps the default)
-	noFF         bool
-	rebalance    int // Config.RebalanceEpoch (0 keeps the default)
+	flows        int  // injection flows opened per node
+	generations  int  // ping-pong bounces per delivered packet
+	stride       int  // open flows on every stride-th node only (0 = 1 = all)
+	linkLat      int  // Config.LinkLatency override (0 keeps the default)
+	strict       bool // run the engine in strict mode (tick every cycle)
+	rebalance    int  // Config.RebalanceEpoch (0 keeps the default)
 	rec          *obs.Recorder
+}
+
+// startTraffic registers a component that calls send in the engine's first
+// cycle and never again, and returns a predicate reporting whether it has
+// fired. Registered after the network, it hands the network its starting
+// traffic the way the platform does — from inside a cycle the network has
+// already ticked — so the event-driven engine and strict mode agree on the
+// network's first tick.
+func startTraffic(e *sim.Engine, send func(now uint64)) (fired func() bool) {
+	done := false
+	e.Register(&sim.FuncComponent{
+		TickFn: func(now uint64) {
+			if !done {
+				done = true
+				send(now)
+			}
+		},
+		NextWakeFn: func(now uint64) uint64 {
+			if done {
+				return sim.Never
+			}
+			return now
+		},
+	})
+	return func() bool { return done }
 }
 
 // runSignature drives a multi-generation ping-pong workload on a WxH mesh
@@ -40,7 +65,6 @@ func runSignature(t *testing.T, p sigParams) string {
 	t.Helper()
 	cfg := testConfig(p.w, p.h, p.prio)
 	cfg.ParThreshold = p.parThreshold
-	cfg.NoFastForward = p.noFF
 	cfg.RebalanceEpoch = p.rebalance
 	if p.linkLat > 0 {
 		cfg.LinkLatency = p.linkLat
@@ -70,6 +94,7 @@ func runSignature(t *testing.T, p sigParams) string {
 	}
 
 	e := sim.NewEngine()
+	e.FastForward = !p.strict
 	e.Register(n)
 	if p.workers > 1 {
 		pool := par.NewPool(p.workers)
@@ -87,28 +112,30 @@ func runSignature(t *testing.T, p sigParams) string {
 		stride = 1
 	}
 	rng := sim.NewRNG(23)
-	for s := 0; s < cfg.Nodes(); s += stride {
-		for k := 0; k < p.flows; k++ {
-			d := rng.Intn(cfg.Nodes())
-			if d == s {
-				continue
+	fired := startTraffic(e, func(now uint64) {
+		for s := 0; s < cfg.Nodes(); s += stride {
+			for k := 0; k < p.flows; k++ {
+				d := rng.Intn(cfg.Nodes())
+				if d == s {
+					continue
+				}
+				vn := rng.Intn(NumVNets)
+				class := ClassData
+				if vn == VNetRequest {
+					class = ClassCtrl
+				}
+				pkt := n.NewPacket(s, d, class, vn, 0)
+				if p.prio && k%4 == 0 {
+					pkt.Class = ClassLock
+					pkt.Prio = core.Priority{Check: true, Class: uint8(k % 8), Prog: uint16(s % 4)}
+				}
+				n.Send(now, pkt)
 			}
-			vn := rng.Intn(NumVNets)
-			class := ClassData
-			if vn == VNetRequest {
-				class = ClassCtrl
-			}
-			pkt := n.NewPacket(s, d, class, vn, 0)
-			if p.prio && k%4 == 0 {
-				pkt.Class = ClassLock
-				pkt.Prio = core.Priority{Check: true, Class: uint8(k % 8), Prog: uint16(s % 4)}
-			}
-			n.Send(0, pkt)
 		}
-	}
+	})
 
 	e.MaxCycles = 500000
-	end := e.RunUntil(func() bool { return !n.Busy() })
+	end := e.RunUntil(func() bool { return fired() && !n.Busy() })
 	if n.Busy() {
 		t.Fatalf("network not drained (prio=%v workers=%d thr=%d)", p.prio, p.workers, p.parThreshold)
 	}
@@ -179,26 +206,26 @@ func TestParallelTickMatchesSequentialLarge(t *testing.T) {
 }
 
 // TestFastForwardMatchesSequential is the idle-window fast-forward
-// identity: with NoFastForward unset the engine asks NextEventCycle and
-// jumps straight to the next cycle where the network has work, and the
-// simulation must still be byte-identical to the conservative
-// tick-every-busy-cycle discipline, for every worker count and both
-// arbitration policies. LinkLatency 4 opens multi-cycle flight gaps so
-// the skip path is actually taken.
+// identity: the event-driven engine asks NextEventCycle and jumps
+// straight to the next cycle where the network has work, and the
+// simulation must still be byte-identical to strict mode, which ticks the
+// network every cycle, for every worker count and both arbitration
+// policies. LinkLatency 4 opens multi-cycle flight gaps so the skip path
+// is actually taken.
 func TestFastForwardMatchesSequential(t *testing.T) {
 	for _, prio := range []bool{false, true} {
 		ref := runSignature(t, sigParams{w: 8, h: 8, prio: prio, workers: 1,
-			flows: 4, generations: 3, linkLat: 4, noFF: true})
+			flows: 4, generations: 3, linkLat: 4, strict: true})
 		for _, workers := range []int{1, 2, 4} {
-			for _, noFF := range []bool{false, true} {
-				if noFF && workers == 1 {
+			for _, strict := range []bool{false, true} {
+				if strict && workers == 1 {
 					continue // that cell is the reference itself
 				}
 				got := runSignature(t, sigParams{w: 8, h: 8, prio: prio, workers: workers,
-					parThreshold: -1, flows: 4, generations: 3, linkLat: 4, noFF: noFF})
+					parThreshold: -1, flows: 4, generations: 3, linkLat: 4, strict: strict})
 				if got != ref {
-					t.Fatalf("prio=%v workers=%d noFF=%v diverged from conservative sequential:\nref %d bytes, got %d bytes",
-						prio, workers, noFF, len(ref), len(got))
+					t.Fatalf("prio=%v workers=%d strict=%v diverged from strict sequential:\nref %d bytes, got %d bytes",
+						prio, workers, strict, len(ref), len(got))
 				}
 			}
 		}
@@ -209,8 +236,8 @@ func TestFastForwardMatchesSequential(t *testing.T) {
 // on giant meshes in the sparse regime fast-forward exists for: only
 // every 64th node opens flows, so a handful of packets cross a mostly
 // idle 32x32 / 64x64 mesh and NextEventCycle routinely reports windows
-// many cycles wide. Every {workers} x {fast-forward, conservative} cell
-// must match the conservative sequential reference byte-for-byte.
+// many cycles wide. Every {workers} x {fast-forward, strict} cell must
+// match the strict sequential reference byte-for-byte.
 func TestFastForwardMatchesSequentialGiant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("giant-mesh fast-forward matrix skipped in -short")
@@ -218,14 +245,14 @@ func TestFastForwardMatchesSequentialGiant(t *testing.T) {
 	for _, mesh := range []int{32, 64} {
 		for _, prio := range []bool{false, true} {
 			ref := runSignature(t, sigParams{w: mesh, h: mesh, prio: prio, workers: 1,
-				flows: 2, generations: 2, stride: 64, linkLat: 4, noFF: true})
+				flows: 2, generations: 2, stride: 64, linkLat: 4, strict: true})
 			for _, workers := range []int{2, 4} {
-				for _, noFF := range []bool{false, true} {
+				for _, strict := range []bool{false, true} {
 					got := runSignature(t, sigParams{w: mesh, h: mesh, prio: prio, workers: workers,
-						parThreshold: -1, flows: 2, generations: 2, stride: 64, linkLat: 4, noFF: noFF})
+						parThreshold: -1, flows: 2, generations: 2, stride: 64, linkLat: 4, strict: strict})
 					if got != ref {
-						t.Fatalf("%dx%d prio=%v workers=%d noFF=%v diverged:\nref %d bytes, got %d bytes",
-							mesh, mesh, prio, workers, noFF, len(ref), len(got))
+						t.Fatalf("%dx%d prio=%v workers=%d strict=%v diverged:\nref %d bytes, got %d bytes",
+							mesh, mesh, prio, workers, strict, len(ref), len(got))
 					}
 				}
 			}
@@ -233,7 +260,7 @@ func TestFastForwardMatchesSequentialGiant(t *testing.T) {
 			got := runSignature(t, sigParams{w: mesh, h: mesh, prio: prio, workers: 1,
 				flows: 2, generations: 2, stride: 64, linkLat: 4})
 			if got != ref {
-				t.Fatalf("%dx%d prio=%v sequential fast-forward diverged from conservative", mesh, mesh, prio)
+				t.Fatalf("%dx%d prio=%v sequential fast-forward diverged from strict", mesh, mesh, prio)
 			}
 		}
 	}

@@ -18,12 +18,15 @@ const Never = math.MaxUint64
 // registration order among same-cycle components). NextWake lets the engine
 // find the next busy cycle: when every component's next wake time lies in
 // the future, the engine jumps the clock directly to the earliest one.
+// Every component is event-driven: SetWaker hands it the notification
+// handle it must use for work the engine cannot see coming.
 type Component interface {
 	// Tick advances the component by one cycle. now is the current cycle.
 	Tick(now uint64)
 	// NextWake returns the earliest future cycle (> now) at which the
 	// component has work to do, or Never when it is quiescent.
 	NextWake(now uint64) uint64
+	WakeSetter
 }
 
 // Waker is the engine-side half of wake notification. A component (or
@@ -47,17 +50,12 @@ type TickPoolUser interface {
 	SetTickPool(p *par.Pool)
 }
 
-// WakeSetter is implemented by components that push wake notifications to
-// the engine instead of relying on per-cycle polling. The engine calls
+// WakeSetter is the push half of every Component. The engine calls
 // SetWaker once at Register time; the component must then call Wake
 // whenever external input (a message send, a scheduled callback) gives it
 // work the engine does not yet know about. Work a component creates for
 // itself during its own Tick needs no notification — the engine re-reads
 // NextWake after every tick.
-//
-// Components that do not implement WakeSetter are handled compatibly: the
-// engine ticks them on every non-skipped cycle and re-polls their NextWake
-// each time, exactly like the original poll-everything scheduler.
 type WakeSetter interface {
 	SetWaker(w Waker)
 }
@@ -65,17 +63,14 @@ type WakeSetter interface {
 // Engine owns the simulation clock and the registered components. It is an
 // event-driven scheduler: an indexed min-heap keyed by per-component wake
 // time picks the next busy cycle in O(1), and Step ticks only the
-// components whose wake time is due.
+// components whose wake time is due. Strict mode (FastForward off) ticks
+// every component every cycle; it is the reference the event-driven
+// schedule is tested against.
 type Engine struct {
 	now        uint64
 	components []Component
 	// wake[i] is the next cycle component i must tick (Never = idle).
 	wake []uint64
-	// legacy[i] marks components without push notification: they tick on
-	// every executed cycle, like under the original poll scheduler.
-	legacy []bool
-	// anyLegacy caches whether legacy contains true.
-	anyLegacy bool
 	// heap is an indexed min-heap over (wake[i], i); pos[i] is component
 	// i's slot in it. Every registered component is always present.
 	heap []int
@@ -129,20 +124,12 @@ func (h *handle) Wake(at uint64) { h.e.wakeIdx(h.idx, at) }
 
 // Register adds c to the schedule. Components due on the same cycle tick
 // in registration order, which the simulation relies on for determinism.
-// Components implementing WakeSetter are event-driven; others are ticked
-// every executed cycle (legacy poll behaviour).
 func (e *Engine) Register(c Component) {
 	idx := len(e.components)
 	e.components = append(e.components, c)
 	e.wake = append(e.wake, 0)
 	e.pos = append(e.pos, -1)
-	if ws, ok := c.(WakeSetter); ok {
-		e.legacy = append(e.legacy, false)
-		ws.SetWaker(&handle{e: e, idx: idx})
-	} else {
-		e.legacy = append(e.legacy, true)
-		e.anyLegacy = true
-	}
+	c.SetWaker(&handle{e: e, idx: idx})
 	if e.tickPool != nil {
 		if u, ok := c.(TickPoolUser); ok {
 			u.SetTickPool(e.tickPool)
@@ -164,25 +151,14 @@ func (e *Engine) SetTickPool(p *par.Pool) {
 	}
 }
 
-// Wake moves component c's wake time earlier, to at (clamped so that a
-// component never re-ticks within the cycle it already ticked). It is the
-// map-based convenience form; components wired via SetWaker use their
-// handle instead.
-func (e *Engine) Wake(c Component, at uint64) {
-	for i, rc := range e.components {
-		if rc == c {
-			e.wakeIdx(i, at)
-			return
-		}
-	}
-}
-
+// wakeIdx moves component i's wake time earlier, to at (clamped so that a
+// component never re-ticks within the cycle it already ticked).
 func (e *Engine) wakeIdx(i int, at uint64) {
 	floor := e.now
 	if e.ticking && i <= e.tickPos {
 		// Already ticked (or mid-tick) this cycle: earliest next chance is
-		// the following cycle — matching the poll engine, where work pushed
-		// into an already-ticked component ran on the next cycle.
+		// the following cycle — as in strict mode, where the registration
+		// order had already passed it.
 		floor = e.now + 1
 	}
 	if at < floor {
@@ -252,9 +228,9 @@ func (e *Engine) RequestAbort() { e.abort.Store(true) }
 // Aborted reports whether RequestAbort has been called.
 func (e *Engine) Aborted() bool { return e.abort.Load() }
 
-// Step executes exactly one cycle: every due component (plus every legacy
-// poll component; all components when FastForward is off) ticks in
-// registration order, then reports its next wake time.
+// Step executes exactly one cycle: every due component (every component
+// when FastForward is off) ticks in registration order, then reports its
+// next wake time.
 func (e *Engine) Step() {
 	if e.obs != nil {
 		e.obs.EngineStep(e.now)
@@ -263,7 +239,7 @@ func (e *Engine) Step() {
 	ticked := false
 	strict := !e.FastForward
 	for i := range e.components {
-		if !strict && !e.legacy[i] && e.wake[i] > e.now {
+		if !strict && e.wake[i] > e.now {
 			continue
 		}
 		e.tickPos = i
@@ -297,52 +273,21 @@ func (e *Engine) RunUntil(done func() bool) uint64 {
 		if e.abort.Load() {
 			break
 		}
-		if e.FastForward {
-			m := e.earliestWake()
-			if m > e.now && e.anyLegacy {
-				// A legacy component's stored wake time goes stale the
-				// moment a later-ticking component hands it work (nothing
-				// notifies the engine). Re-poll before trusting a jump,
-				// like the poll engine's per-cycle minimum scan did.
-				for i, c := range e.components {
-					if e.legacy[i] {
-						e.heapFix(i, c.NextWake(e.now))
-					}
-				}
-				m = e.earliestWake()
-				if m == e.now+1 {
-					// NextWake's contract is "strictly future", so a legacy
-					// component with work in the CURRENT cycle (e.g. a busy
-					// network that re-polls itself every cycle) can only
-					// answer now+1. The poll engine compensated by skipping
-					// only past now+1; execute this cycle likewise.
-					m = e.now
-				}
+		if m := e.earliestWake(); e.FastForward && m > e.now {
+			if m == Never {
+				// Everything is quiescent: nothing will ever happen again
+				// on its own. Advance one cycle at a time so the done
+				// predicate (which may watch the clock) still terminates
+				// the run.
+				m = e.now + 1
+			} else if e.obs != nil {
+				e.obs.EngineWake(m, m-e.now)
 			}
-			if m > e.now {
-				if m != Never {
-					// Jump the clock to the next busy cycle; done is
-					// re-checked before it executes, mirroring the poll
-					// engine, which skipped after each executed cycle.
-					if e.obs != nil {
-						e.obs.EngineWake(m, m-e.now)
-					}
-					e.SkippedCycles += m - e.now
-					e.now = m
-					continue
-				}
-				if !e.anyLegacy {
-					// Everything is quiescent: nothing will ever happen
-					// again on its own. Advance one cycle at a time so the
-					// done predicate (which may watch the clock) still
-					// terminates the run.
-					e.now++
-					e.SkippedCycles++
-					continue
-				}
-				// Legacy poll components may have stale wake times; fall
-				// through and keep ticking them, like the poll engine did.
-			}
+			// Jump the clock to the next busy cycle; done is re-checked
+			// before it executes.
+			e.SkippedCycles += m - e.now
+			e.now = m
+			continue
 		}
 		e.Step()
 	}
@@ -365,7 +310,7 @@ func (e *Engine) Run(n uint64) {
 // answer now+1 and miss its cycle — an interrupted-and-resumed run would
 // drift one cycle from an uninterrupted one. Keeping the earlier stored
 // time at worst ticks a component that turns out to be idle, which the
-// poll-engine equivalence guarantees is harmless.
+// strict-mode equivalence guarantees is harmless.
 func (e *Engine) resync() {
 	for i, c := range e.components {
 		if w := c.NextWake(e.now); w < e.wake[i] {
@@ -383,22 +328,9 @@ func (e *Engine) earliestWake() uint64 {
 	return e.wake[e.heap[0]]
 }
 
-// Quiescent reports whether every component is idle forever. Event-driven
-// components are answered from the heap minimum in O(1); legacy poll
-// components are re-polled, since their wake times may be stale.
+// Quiescent reports whether every component is idle forever, in O(1) via
+// the heap minimum.
 func (e *Engine) Quiescent() bool {
-	if e.anyLegacy {
-		for i, c := range e.components {
-			if !e.legacy[i] {
-				continue
-			}
-			w := c.NextWake(e.now)
-			e.heapFix(i, w)
-			if w != Never {
-				return false
-			}
-		}
-	}
 	return e.earliestWake() == Never
 }
 
@@ -471,25 +403,11 @@ func (e *Engine) siftDown(s int) {
 	}
 }
 
-// polled hides a component's WakeSetter implementation (if any) so the
-// engine falls back to ticking it every executed cycle.
-type polled struct{ c Component }
-
-// Tick implements Component.
-func (p polled) Tick(now uint64) { p.c.Tick(now) }
-
-// NextWake implements Component.
-func (p polled) NextWake(now uint64) uint64 { return p.c.NextWake(now) }
-
-// Polled wraps c so that Register treats it as a legacy poll component even
-// when it implements WakeSetter. It exists as an escape hatch for
-// cross-checking the event-driven scheduler against exhaustive polling:
-// both modes must produce cycle-identical simulations.
-func Polled(c Component) Component { return polled{c: c} }
-
-// FuncComponent adapts plain functions to the Component interface. It does
-// not implement WakeSetter, so the engine treats it as a legacy poll
-// component: ticked every executed cycle, NextWake re-polled each time.
+// FuncComponent adapts plain functions to the Component interface. It is
+// event-driven like any other component: it ticks only at the cycles
+// NextWakeFn reports (a nil NextWakeFn means never). The engine asks
+// NextWakeFn at Register time — where an answer of now means "tick in
+// the first cycle" — after every tick, and on each RunUntil entry.
 type FuncComponent struct {
 	TickFn     func(now uint64)
 	NextWakeFn func(now uint64) uint64
@@ -509,3 +427,7 @@ func (f *FuncComponent) NextWake(now uint64) uint64 {
 	}
 	return f.NextWakeFn(now)
 }
+
+// SetWaker implements WakeSetter. A FuncComponent is scheduled only
+// through NextWakeFn, so it keeps no handle.
+func (f *FuncComponent) SetWaker(Waker) {}

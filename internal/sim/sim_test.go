@@ -104,7 +104,8 @@ type tickCounter struct {
 	wake  uint64
 }
 
-func (c *tickCounter) Tick(now uint64) { c.ticks++ }
+func (c *tickCounter) Tick(now uint64)  { c.ticks++ }
+func (c *tickCounter) SetWaker(w Waker) {}
 func (c *tickCounter) NextWake(now uint64) uint64 {
 	if c.wake > now {
 		return c.wake
@@ -218,6 +219,42 @@ func TestCounter(t *testing.T) {
 	c.Reset()
 	if c.Value() != 0 {
 		t.Fatal("reset failed")
+	}
+}
+
+// TestHistogramQuantileBounds pins what Quantile reports today: the lower
+// bound of the power-of-two bucket the quantile falls in (1 for the [0,1)
+// bucket). metrics.Results.BTP95/COHP95 and with them the pinned seed
+// signatures depend on these values.
+func TestHistogramQuantileBounds(t *testing.T) {
+	for _, tc := range []struct {
+		buckets int
+		samples []uint64
+		q       float64
+		want    uint64
+	}{
+		{32, nil, 0.5, 0},
+		{32, []uint64{0}, 0.5, 1},
+		{32, []uint64{1}, 0.5, 1},
+		{32, []uint64{3}, 0.5, 2},
+		{32, []uint64{4}, 0.5, 4},
+		{32, []uint64{1000}, 0.95, 512},
+		{32, []uint64{1023}, 0.95, 512},
+		{32, []uint64{1024}, 0.95, 1024},
+		{32, []uint64{1, 2, 3, 100, 1000}, 0, 1},
+		{32, []uint64{1, 2, 3, 100, 1000}, 0.5, 2},
+		{32, []uint64{1, 2, 3, 100, 1000}, 0.95, 512},
+		{32, []uint64{1, 2, 3, 100, 1000}, 1, 512},
+		{4, []uint64{1000}, 0.5, 4}, // overflow bucket [4,inf): its lower bound
+	} {
+		h := NewHistogram(tc.buckets)
+		for _, v := range tc.samples {
+			h.Observe(v)
+		}
+		if got := h.Quantile(tc.q); got != tc.want {
+			t.Errorf("NewHistogram(%d) %v: Quantile(%v) = %d, want %d",
+				tc.buckets, tc.samples, tc.q, got, tc.want)
+		}
 	}
 }
 

@@ -140,8 +140,12 @@ func (h *Histogram) Mean() float64 { return h.acc.Mean() }
 // Max returns the largest sample.
 func (h *Histogram) Max() float64 { return h.acc.Max() }
 
-// Quantile returns an upper bound for the q-quantile (0 <= q <= 1) derived
-// from the bucket boundaries.
+// Quantile returns the lower bound of the power-of-two bucket the
+// q-quantile (0 <= q <= 1) falls in: 2^(i-1) for bucket [2^(i-1), 2^i),
+// so the true quantile may be up to twice the answer (one sample of 1000
+// reports 512, one of 3 reports 2). The [0,1) bucket reports 1, and the
+// final overflow bucket its lower bound. obs.LogHist.Quantile reports the
+// bucket's upper bound instead (1024 for the sample of 1000).
 func (h *Histogram) Quantile(q float64) uint64 {
 	total := h.acc.Count()
 	if total == 0 {

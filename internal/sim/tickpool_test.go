@@ -14,6 +14,7 @@ type poolUser struct {
 func (u *poolUser) Tick(now uint64)            {}
 func (u *poolUser) NextWake(now uint64) uint64 { return Never }
 func (u *poolUser) SetTickPool(p *par.Pool)    { u.pools = append(u.pools, p) }
+func (u *poolUser) SetWaker(Waker)             {}
 
 func TestEngineSetTickPoolForwarding(t *testing.T) {
 	e := NewEngine()
@@ -47,20 +48,5 @@ func TestEngineSetTickPoolForwarding(t *testing.T) {
 	}
 	if len(after.pools) != 2 || after.pools[1] != nil {
 		t.Fatalf("detach not forwarded to later component: %v", after.pools)
-	}
-}
-
-// TestPolledHidesTickPool pins the cross-check escape hatch: a component
-// wrapped in Polled must not receive the pool (the polled mode exists to
-// reproduce strictly sequential reference behaviour).
-func TestPolledHidesTickPool(t *testing.T) {
-	e := NewEngine()
-	u := &poolUser{}
-	e.Register(Polled(u))
-	pool := par.NewPool(2)
-	defer pool.Close()
-	e.SetTickPool(pool)
-	if len(u.pools) != 0 {
-		t.Fatalf("Polled component received a tick pool: %v", u.pools)
 	}
 }

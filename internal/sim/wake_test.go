@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // pushComp is a minimal event-driven component: it records every tick and
 // wakes itself at the cycles listed in wakes.
@@ -59,9 +62,9 @@ func TestWakeNeverDelays(t *testing.T) {
 
 func TestWakeDuringTickSameCycle(t *testing.T) {
 	// A component waking a LATER-registered component for `now` must make it
-	// tick this same cycle (matching the poll engine, which would have
-	// reached it anyway); waking an EARLIER-registered component for `now`
-	// must defer to now+1 (the poll engine had already passed it).
+	// tick this same cycle (matching strict mode, which would have reached
+	// it anyway); waking an EARLIER-registered component for `now` must
+	// defer to now+1 (strict mode had already passed it).
 	e := NewEngine()
 	early := &pushComp{next: Never}
 	late := &pushComp{next: Never}
@@ -90,21 +93,40 @@ func TestWakeDuringTickSameCycle(t *testing.T) {
 	}
 }
 
-func TestPolledWrapperForcesPolling(t *testing.T) {
-	e := NewEngine()
-	c := &pushComp{next: Never}
-	e.Register(Polled(c))
-	if c.waker != nil {
-		t.Fatal("Polled component must not receive a waker")
+// TestFuncComponentWakeRules pins FuncComponent's scheduling: it ticks
+// exactly at the cycles NextWakeFn reports (an answer of now at Register
+// time means the first cycle), a nil NextWakeFn means it never ticks under
+// fast-forward, and strict mode ticks it every cycle regardless.
+func TestFuncComponentWakeRules(t *testing.T) {
+	run := func(fastForward, schedule bool) []uint64 {
+		e := NewEngine()
+		e.FastForward = fastForward
+		var ticks []uint64
+		var next uint64 // due in the first cycle, then every other cycle
+		c := &FuncComponent{TickFn: func(now uint64) {
+			ticks = append(ticks, now)
+			next = now + 2
+		}}
+		if schedule {
+			c.NextWakeFn = func(uint64) uint64 { return next }
+		}
+		e.Register(c)
+		e.RunUntil(func() bool { return e.Now() >= 6 })
+		return ticks
 	}
-	// Another event-driven component keeps cycles 0..3 busy; the polled
-	// component must tick on each of them even though it never wakes.
-	d := &pushComp{next: 0}
-	e.Register(d)
-	d.next = 3
-	e.RunUntil(func() bool { return e.Now() >= 4 })
-	if len(c.ticks) == 0 {
-		t.Fatal("polled component never ticked")
+	for _, tc := range []struct {
+		fastForward, schedule bool
+		want                  []uint64
+	}{
+		{true, false, nil},
+		{false, false, []uint64{0, 1, 2, 3, 4, 5}},
+		{true, true, []uint64{0, 2, 4}},
+		{false, true, []uint64{0, 1, 2, 3, 4, 5}},
+	} {
+		if got := run(tc.fastForward, tc.schedule); !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("fastForward=%v NextWakeFn=%v: ticked at %v, want %v",
+				tc.fastForward, tc.schedule, got, tc.want)
+		}
 	}
 }
 

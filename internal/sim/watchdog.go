@@ -129,10 +129,8 @@ func (w *Watchdog) NextWake(now uint64) uint64 {
 	return w.next
 }
 
-// SetWaker implements sim.WakeSetter. The watchdog never needs waking —
-// its schedule is fully described by NextWake — but implementing the
-// interface keeps it on the engine's event-driven path instead of
-// forcing the whole engine into per-cycle legacy polling.
+// SetWaker implements sim.WakeSetter. The watchdog never needs waking:
+// its schedule is fully described by NextWake.
 func (w *Watchdog) SetWaker(Waker) {}
 
 // NewStallCheck builds a forward-progress check over a monotone counter:

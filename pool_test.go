@@ -8,30 +8,26 @@ import (
 )
 
 // TestPoolingDoesNotPerturbResults runs with the object freelists enabled
-// and with -nopool heap allocation, across both engines and both OCOR
-// modes, and requires byte-identical results: recycling packets and
-// messages must be invisible to the simulation.
+// and with -nopool heap allocation, under the event-driven engine and
+// strict mode and both OCOR modes, and requires byte-identical results:
+// recycling packets and messages must be invisible to the simulation.
 func TestPoolingDoesNotPerturbResults(t *testing.T) {
 	for _, ocor := range []bool{false, true} {
-		for _, poll := range []bool{false, true} {
+		for _, strict := range []bool{false, true} {
 			var got [2]metrics.Results
 			for i, nopool := range []bool{false, true} {
-				sys, err := New(Config{
+				r, err := newEngineMode(t, Config{
 					Benchmark: detProfile(), Threads: 16, OCOR: ocor,
-					Seed: 7, PollEngine: poll, NoPool: nopool,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				r, err := sys.Run()
+					Seed: 7, NoPool: nopool,
+				}, strict).Run()
 				if err != nil {
 					t.Fatal(err)
 				}
 				got[i] = r
 			}
 			if !reflect.DeepEqual(got[0], got[1]) {
-				t.Fatalf("ocor=%v poll=%v: pooled results differ from -nopool:\npooled: %+v\nnopool: %+v",
-					ocor, poll, got[0], got[1])
+				t.Fatalf("ocor=%v strict=%v: pooled results differ from -nopool:\npooled: %+v\nnopool: %+v",
+					ocor, strict, got[0], got[1])
 			}
 		}
 	}

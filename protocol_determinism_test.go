@@ -14,12 +14,12 @@ import (
 // protoRunBytes runs the determinism profile under one protocol cell and
 // returns the JSON serialisation of the consolidated results, so any
 // drift — a counter, a latency accumulator, a single cycle — compares
-// byte-for-byte.
-func protoRunBytes(t *testing.T, proto string, ocor, poll bool, workers int) []byte {
+// byte-for-byte. strict runs the engine in strict mode.
+func protoRunBytes(t *testing.T, proto string, ocor, strict bool, workers int) []byte {
 	t.Helper()
 	cfg := Config{
 		Benchmark: detProfile(), Threads: 16, OCOR: ocor,
-		Seed: 7, Protocol: proto, PollEngine: poll, Workers: workers,
+		Seed: 7, Protocol: proto, Workers: workers,
 	}
 	if workers > 1 {
 		// Force the sharded tick path: the 4x4 mesh is under the executor's
@@ -28,11 +28,7 @@ func protoRunBytes(t *testing.T, proto string, ocor, poll bool, workers int) []b
 		ncfg.ParThreshold = -1
 		cfg.NoC = &ncfg
 	}
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := sys.Run()
+	r, err := newEngineMode(t, cfg, strict).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,28 +40,29 @@ func protoRunBytes(t *testing.T, proto string, ocor, poll bool, workers int) []b
 }
 
 // TestProtocolDeterminismMatrix is the arena's regression matrix: every
-// registered protocol, under both engines and both worker widths, must
-// produce identical output bytes across repeated runs and across every
-// cell of the {engine, workers} grid — a lock algorithm is only
-// admissible if its schedule is a pure function of the configuration.
+// registered protocol, under the event-driven engine and strict mode and
+// both worker widths, must produce identical output bytes across repeated
+// runs and across every cell of the {engine mode, workers} grid — a lock
+// algorithm is only admissible if its schedule is a pure function of the
+// configuration.
 func TestProtocolDeterminismMatrix(t *testing.T) {
 	for _, proto := range protocol.Known() {
 		for _, ocor := range []bool{false, true} {
 			var ref []byte
-			for _, poll := range []bool{false, true} {
+			for _, strict := range []bool{false, true} {
 				for _, workers := range []int{1, 4} {
-					got := protoRunBytes(t, proto, ocor, poll, workers)
-					again := protoRunBytes(t, proto, ocor, poll, workers)
+					got := protoRunBytes(t, proto, ocor, strict, workers)
+					again := protoRunBytes(t, proto, ocor, strict, workers)
 					if !bytes.Equal(got, again) {
-						t.Fatalf("%s ocor=%v poll=%v workers=%d: repeated run diverged", proto, ocor, poll, workers)
+						t.Fatalf("%s ocor=%v strict=%v workers=%d: repeated run diverged", proto, ocor, strict, workers)
 					}
 					if ref == nil {
 						ref = got
 						continue
 					}
 					if !bytes.Equal(ref, got) {
-						t.Fatalf("%s ocor=%v poll=%v workers=%d: diverged from first cell:\nref: %s\ngot: %s",
-							proto, ocor, poll, workers, ref, got)
+						t.Fatalf("%s ocor=%v strict=%v workers=%d: diverged from first cell:\nref: %s\ngot: %s",
+							proto, ocor, strict, workers, ref, got)
 					}
 				}
 			}
