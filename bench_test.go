@@ -12,6 +12,7 @@ package repro
 // all-benchmark runs.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/experiments"
@@ -217,5 +218,33 @@ func BenchmarkAblation(b *testing.B) {
 				b.ReportMetric(100*r.COHImprovement, "no-least-rtr-COH-impr-%")
 			}
 		}
+	}
+}
+
+// newSink keeps BenchmarkNew's platforms live so the calls are not
+// optimised away.
+var newSink *System
+
+// BenchmarkNew measures platform set-up alone: repro.New for 64 threads
+// of imag on the paper's 8x8 mesh and on a 64x64 mesh, where 4,032 of the
+// 4,096 nodes host no core.
+func BenchmarkNew(b *testing.B) {
+	p, err := Benchmark("imag")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p = p.Scale(0.25)
+	for _, side := range []int{8, 64} {
+		b.Run(fmt.Sprintf("mesh=%dx%d", side, side), func(b *testing.B) {
+			cfg := Config{Benchmark: p, Threads: 64, MeshWidth: side, MeshHeight: side, OCOR: true, Seed: 1}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sys, err := New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				newSink = sys
+			}
+		})
 	}
 }

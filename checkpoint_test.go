@@ -3,6 +3,7 @@ package repro
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -37,59 +38,69 @@ func runToJSON(t *testing.T, sys *System) []byte {
 // Restored platforms are also immediately re-snapshotted and the two
 // snapshots compared byte-for-byte: a restore must lose nothing a second
 // save could miss.
+// The derived 4x4 mesh puts a core on every node; the 8x8 row leaves 48
+// nodes without one, whose L1s must come out of the restore still
+// without line storage.
 func TestCheckpointRoundTripMatrix(t *testing.T) {
-	for _, proto := range []string{"", "mcs", "cna", "mutable", "reciprocating"} {
-		for _, ocor := range []bool{false, true} {
-			base := Config{
-				Benchmark: detProfile(), Threads: 16, OCOR: ocor,
-				Seed: 7, Protocol: proto,
-			}
-			refSys, err := New(base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := runToJSON(t, refSys)
-			mid := refSys.Engine.Now() / 2
+	for _, mesh := range []struct{ w, h int }{{0, 0}, {8, 8}} {
+		for _, proto := range []string{"", "mcs", "cna", "mutable", "reciprocating"} {
+			for _, ocor := range []bool{false, true} {
+				base := Config{
+					Benchmark: detProfile(), Threads: 16, OCOR: ocor,
+					MeshWidth: mesh.w, MeshHeight: mesh.h,
+					Seed: 7, Protocol: proto,
+				}
+				refSys, err := New(base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := runToJSON(t, refSys)
+				mid := refSys.Engine.Now() / 2
 
-			for _, strict := range []bool{false, true} {
-				for _, workers := range []int{1, 4} {
-					cfg := base
-					cfg.Workers = workers
-					if workers > 1 {
-						// Force the sharded tick path (the 4x4 mesh is
-						// below the default parallelism thresholds).
-						ncfg := noc.DefaultConfig()
-						ncfg.ParThreshold = -1
-						cfg.NoC = &ncfg
-					}
-					sys := newEngineMode(t, cfg, strict)
-					if _, err := sys.RunTo(mid); err != nil {
-						t.Fatalf("proto=%q ocor=%v strict=%v workers=%d: RunTo: %v",
-							proto, ocor, strict, workers, err)
-					}
-					snap, err := sys.Snapshot()
-					if err != nil {
-						t.Fatalf("proto=%q ocor=%v strict=%v workers=%d: snapshot: %v",
-							proto, ocor, strict, workers, err)
-					}
-					restored, err := Restore(cfg, snap)
-					if err != nil {
-						t.Fatalf("proto=%q ocor=%v strict=%v workers=%d: restore: %v",
-							proto, ocor, strict, workers, err)
-					}
-					restored.Engine.FastForward = !strict
-					snap2, err := restored.Snapshot()
-					if err != nil {
-						t.Fatalf("proto=%q ocor=%v strict=%v workers=%d: re-snapshot: %v",
-							proto, ocor, strict, workers, err)
-					}
-					if !bytes.Equal(snap.Data, snap2.Data) {
-						t.Fatalf("proto=%q ocor=%v strict=%v workers=%d: re-snapshot of restored platform differs (%d vs %d bytes)",
-							proto, ocor, strict, workers, len(snap.Data), len(snap2.Data))
-					}
-					if got := runToJSON(t, restored); !bytes.Equal(ref, got) {
-						t.Fatalf("proto=%q ocor=%v strict=%v workers=%d: restored run diverged from uninterrupted:\nref: %s\ngot: %s",
-							proto, ocor, strict, workers, ref, got)
+				for _, strict := range []bool{false, true} {
+					for _, workers := range []int{1, 4} {
+						name := fmt.Sprintf("mesh=%dx%d proto=%q ocor=%v strict=%v workers=%d",
+							mesh.w, mesh.h, proto, ocor, strict, workers)
+						cfg := base
+						cfg.Workers = workers
+						if workers > 1 {
+							// Force the sharded tick path (these meshes
+							// are below the default parallelism
+							// thresholds).
+							ncfg := noc.DefaultConfig()
+							ncfg.ParThreshold = -1
+							cfg.NoC = &ncfg
+						}
+						sys := newEngineMode(t, cfg, strict)
+						if _, err := sys.RunTo(mid); err != nil {
+							t.Fatalf("%s: RunTo: %v", name, err)
+						}
+						snap, err := sys.Snapshot()
+						if err != nil {
+							t.Fatalf("%s: snapshot: %v", name, err)
+						}
+						restored, err := Restore(cfg, snap)
+						if err != nil {
+							t.Fatalf("%s: restore: %v", name, err)
+						}
+						for n := cfg.Threads; n < len(restored.Mem.L1s); n++ {
+							if restored.Mem.L1s[n].HasStorage() {
+								t.Fatalf("%s: restore built line storage for the L1 of coreless node %d", name, n)
+							}
+						}
+						restored.Engine.FastForward = !strict
+						snap2, err := restored.Snapshot()
+						if err != nil {
+							t.Fatalf("%s: re-snapshot: %v", name, err)
+						}
+						if !bytes.Equal(snap.Data, snap2.Data) {
+							t.Fatalf("%s: re-snapshot of restored platform differs (%d vs %d bytes)",
+								name, len(snap.Data), len(snap2.Data))
+						}
+						if got := runToJSON(t, restored); !bytes.Equal(ref, got) {
+							t.Fatalf("%s: restored run diverged from uninterrupted:\nref: %s\ngot: %s",
+								name, ref, got)
+						}
 					}
 				}
 			}

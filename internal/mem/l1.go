@@ -100,7 +100,11 @@ type L1 struct {
 	send  func(now uint64, dst int, m Msg)
 	delay *sim.DelayQueue
 
-	sets  [][]line
+	// lines holds every way, set-major: set si is
+	// lines[si*L1Ways:(si+1)*L1Ways]. It stays nil until the first miss
+	// claims a victim way, so the L1 of a node without a core costs no
+	// line storage; nil reads as every way invalid.
+	lines []line
 	mshrs map[uint64]*mshr
 	// mshrFree recycles retired MSHRs (waiter/deferred slices keep their
 	// capacity), so the steady state allocates none.
@@ -113,7 +117,7 @@ type L1 struct {
 }
 
 func newL1(cfg *Config, node, nodes int, send func(now uint64, dst int, m Msg), dq *sim.DelayQueue) *L1 {
-	l := &L1{
+	return &L1{
 		cfg:   cfg,
 		node:  node,
 		nodes: nodes,
@@ -122,11 +126,6 @@ func newL1(cfg *Config, node, nodes int, send func(now uint64, dst int, m Msg), 
 		mshrs: make(map[uint64]*mshr),
 		wb:    make(map[uint64]*wbEntry),
 	}
-	l.sets = make([][]line, cfg.L1Sets)
-	for i := range l.sets {
-		l.sets[i] = make([]line, cfg.L1Ways)
-	}
-	return l
 }
 
 // allocMSHR draws a reset MSHR from the freelist (or the heap when empty).
@@ -156,8 +155,25 @@ func (l *L1) setIndex(addr uint64) int {
 	return int(l.cfg.BlockIndex(addr)) % l.cfg.L1Sets
 }
 
+// set returns the ways of set si (none before the first miss).
+func (l *L1) set(si int) []line {
+	if l.lines == nil {
+		return nil
+	}
+	w := l.cfg.L1Ways
+	return l.lines[si*w : (si+1)*w]
+}
+
+// ensureLines builds the line storage, all ways invalid, if the L1 has
+// none yet.
+func (l *L1) ensureLines() {
+	if l.lines == nil {
+		l.lines = make([]line, l.cfg.L1Sets*l.cfg.L1Ways)
+	}
+}
+
 func (l *L1) lookup(addr uint64) *line {
-	set := l.sets[l.setIndex(addr)]
+	set := l.set(l.setIndex(addr))
 	for i := range set {
 		if set[i].valid && set[i].addr == addr {
 			return &set[i]
@@ -185,6 +201,10 @@ func (l *L1) Version(addr uint64) uint64 {
 	}
 	return 0
 }
+
+// HasStorage reports whether the L1 has built its line storage, which it
+// does on its first miss.
+func (l *L1) HasStorage() bool { return l.lines != nil }
 
 // PendingOps reports outstanding misses plus write-backs (for quiescence).
 func (l *L1) PendingOps() int {
@@ -290,7 +310,7 @@ func (l *L1) miss(now uint64, o op) {
 		return
 	}
 	l.Stats.Misses++
-	ln := &l.sets[si][way]
+	ln := &l.set(si)[way]
 	if ln.valid {
 		l.evict(now, ln)
 	}
@@ -310,9 +330,10 @@ func (l *L1) miss(now uint64, o op) {
 
 // victim selects a way in set si: an invalid, unreserved way if available,
 // otherwise the least recently used valid line. Returns -1 when every way
-// is reserved.
+// is reserved. The first call builds the line storage.
 func (l *L1) victim(si int) int {
-	set := l.sets[si]
+	l.ensureLines()
+	set := l.set(si)
 	best := -1
 	for i := range set {
 		if set[i].reserved {
@@ -427,7 +448,7 @@ func (l *L1) tryComplete(now uint64, ms *mshr) {
 				l.delay.ScheduleTagged(now+1, memTag(memTagTryComplete, l.node), ms.addr, 0, func(t uint64) { l.tryComplete(t, ms) })
 				return
 			}
-			v := &l.sets[si][way]
+			v := &l.set(si)[way]
 			if v.valid {
 				l.evict(now, v)
 			}
@@ -435,7 +456,7 @@ func (l *L1) tryComplete(now uint64, ms *mshr) {
 			ln = v
 		}
 	} else {
-		ln = &l.sets[ms.set][ms.way]
+		ln = &l.set(ms.set)[ms.way]
 		if !ln.reserved || ln.addr != ms.addr {
 			panic("mem: reserved way clobbered")
 		}

@@ -80,6 +80,41 @@ func TestColdReadMiss(t *testing.T) {
 	}
 }
 
+// TestL1StorageBuiltOnFirstMiss pins lazy line storage: a fresh L1 holds
+// none yet reads as all-invalid and passes the coherence check, and its
+// first miss builds it while L1s that saw no access stay without.
+func TestL1StorageBuiltOnFirstMiss(t *testing.T) {
+	h := newHarness(t, 4, 4)
+	for n, l1 := range h.mem.L1s {
+		if l1.HasStorage() {
+			t.Fatalf("fresh L1 %d has line storage", n)
+		}
+	}
+	l1 := h.mem.L1s[0]
+	if st, v := l1.State(0x1000), l1.Version(0x1000); st != Invalid || v != 0 {
+		t.Fatalf("fresh L1 reads state %s version %d, want I and 0", st, v)
+	}
+	if err := h.mem.CheckCoherence(); err != nil {
+		t.Fatal(err)
+	}
+	h.access(0, 0x1000, true)
+	if got, want := len(l1.lines), h.mem.Cfg.L1Sets*h.mem.Cfg.L1Ways; got != want {
+		t.Fatalf("after first miss L1 0 holds %d lines, want %d", got, want)
+	}
+	h.drain(t, 100000)
+	if l1.State(0x1000) != Modified || l1.Version(0x1000) != 1 {
+		t.Fatalf("after write miss: state %s version %d, want M and 1", l1.State(0x1000), l1.Version(0x1000))
+	}
+	for n, other := range h.mem.L1s[1:] {
+		if other.HasStorage() {
+			t.Fatalf("L1 %d built storage without an access", n+1)
+		}
+	}
+	if err := h.mem.CheckCoherence(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestReadHitAfterMiss(t *testing.T) {
 	h := newHarness(t, 4, 4)
 	h.access(3, 0x2000, false)

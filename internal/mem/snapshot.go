@@ -232,16 +232,20 @@ func (l *L1) snapshotTo(w *checkpoint.Writer) {
 	} {
 		w.U64(v)
 	}
-	for _, set := range l.sets {
-		for i := range set {
-			ln := &set[i]
-			w.U64(ln.addr)
-			w.U8(uint8(ln.state))
-			w.U64(ln.version)
-			w.U64(ln.lastUse)
-			w.Bool(ln.valid)
-			w.Bool(ln.reserved)
+	// An L1 without line storage writes the all-zero lines it stands for,
+	// so the format does not depend on when storage was built.
+	var zero line
+	for i := 0; i < l.cfg.L1Sets*l.cfg.L1Ways; i++ {
+		ln := &zero
+		if l.lines != nil {
+			ln = &l.lines[i]
 		}
+		w.U64(ln.addr)
+		w.U8(uint8(ln.state))
+		w.U64(ln.version)
+		w.U64(ln.lastUse)
+		w.Bool(ln.valid)
+		w.Bool(ln.reserved)
 	}
 	addrs := make([]uint64, 0, len(l.mshrs))
 	for a := range l.mshrs {
@@ -300,15 +304,18 @@ func (l *L1) restoreFrom(r *checkpoint.Reader, contFor func(node int) func(now u
 	} {
 		*p = r.U64()
 	}
-	for _, set := range l.sets {
-		for i := range set {
-			ln := &set[i]
-			ln.addr = r.U64()
-			ln.state = LineState(r.U8())
-			ln.version = r.U64()
-			ln.lastUse = r.U64()
-			ln.valid = r.Bool()
-			ln.reserved = r.Bool()
+	// Storage is built only for a non-zero line; storage already there is
+	// overwritten in full.
+	for i := 0; i < l.cfg.L1Sets*l.cfg.L1Ways; i++ {
+		ln := line{
+			addr: r.U64(), state: LineState(r.U8()), version: r.U64(),
+			lastUse: r.U64(), valid: r.Bool(), reserved: r.Bool(),
+		}
+		if ln != (line{}) {
+			l.ensureLines()
+		}
+		if l.lines != nil {
+			l.lines[i] = ln
 		}
 	}
 	l.mshrs = make(map[uint64]*mshr)

@@ -179,23 +179,21 @@ func (s *System) CheckCoherence() error {
 	}
 	views := make(map[uint64]*blockView)
 	for n, l1 := range s.L1s {
-		for si := range l1.sets {
-			for wi := range l1.sets[si] {
-				ln := &l1.sets[si][wi]
-				if !ln.valid {
-					continue
-				}
-				v, ok := views[ln.addr]
-				if !ok {
-					v = &blockView{}
-					views[ln.addr] = v
-				}
-				switch ln.state {
-				case Modified, Exclusive, Owned:
-					v.owners = append(v.owners, n)
-				case Shared:
-					v.sharers = append(v.sharers, n)
-				}
+		for i := range l1.lines {
+			ln := &l1.lines[i]
+			if !ln.valid {
+				continue
+			}
+			v, ok := views[ln.addr]
+			if !ok {
+				v = &blockView{}
+				views[ln.addr] = v
+			}
+			switch ln.state {
+			case Modified, Exclusive, Owned:
+				v.owners = append(v.owners, n)
+			case Shared:
+				v.sharers = append(v.sharers, n)
 			}
 		}
 	}
