@@ -40,7 +40,8 @@ func runToJSON(t *testing.T, sys *System) []byte {
 // save could miss.
 // The derived 4x4 mesh puts a core on every node; the 8x8 row leaves 48
 // nodes without one, whose L1s must come out of the restore still
-// without line storage.
+// without line storage. A last row per configuration snapshots at
+// workers=4 and resumes at workers=1 (checkResumeWithoutPool).
 func TestCheckpointRoundTripMatrix(t *testing.T) {
 	for _, mesh := range []struct{ w, h int }{{0, 0}, {8, 8}} {
 		for _, proto := range []string{"", "mcs", "cna", "mutable", "reciprocating"} {
@@ -103,8 +104,49 @@ func TestCheckpointRoundTripMatrix(t *testing.T) {
 						}
 					}
 				}
+				checkResumeWithoutPool(t, base, fmt.Sprintf("mesh=%dx%d proto=%q ocor=%v", mesh.w, mesh.h, proto, ocor))
 			}
 		}
+	}
+}
+
+// checkResumeWithoutPool is the matrix row that snapshots under the
+// sharded tick executor (workers=4) and restores and resumes at workers=1.
+// At LinkLatency 4 the snapshot holds router-bound flits still queued on
+// links; the sequential continuation buffers most flits at send time, and
+// must not let one overtake a flit still queued on its link.
+func checkResumeWithoutPool(t *testing.T, base Config, name string) {
+	t.Helper()
+	ncfg := noc.DefaultConfig()
+	ncfg.LinkLatency = 4
+	ncfg.ParThreshold = -1
+	base.NoC = &ncfg
+	refSys, err := New(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := runToJSON(t, refSys)
+	wide := base
+	wide.Workers = 4
+	sys, err := New(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.RunTo(refSys.Engine.Now() / 2); err != nil {
+		t.Fatalf("%s workers 4->1: RunTo: %v", name, err)
+	}
+	snap, err := sys.Snapshot()
+	if err != nil {
+		t.Fatalf("%s workers 4->1: snapshot: %v", name, err)
+	}
+	narrow := base
+	narrow.Workers = 1
+	restored, err := Restore(narrow, snap)
+	if err != nil {
+		t.Fatalf("%s workers 4->1: restore: %v", name, err)
+	}
+	if got := runToJSON(t, restored); !bytes.Equal(ref, got) {
+		t.Fatalf("%s workers 4->1: resumed run diverged from uninterrupted:\nref: %s\ngot: %s", name, ref, got)
 	}
 }
 

@@ -108,11 +108,13 @@ func BenchmarkNetworkTick(b *testing.B) {
 					n.Tick(now)
 				}
 				b.ReportAllocs()
+				hops := flitHops(n)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					n.Tick(now)
 					now++
 				}
+				reportNsPerHop(b, flitHops(n)-hops)
 			})
 		}
 	}
@@ -216,10 +218,29 @@ func runSparseTick(b *testing.B, mesh int, strict bool) {
 	e.MaxCycles = 1 << 62
 	e.RunUntil(func() bool { return delivered >= 40 })
 	b.ReportAllocs()
+	hops := flitHops(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		target := delivered + 8
 		e.RunUntil(func() bool { return delivered >= target })
+	}
+	reportNsPerHop(b, flitHops(n)-hops)
+}
+
+// flitHops is the network's total crossbar traversals so far.
+func flitHops(n *Network) uint64 {
+	var t uint64
+	for _, r := range n.Routers {
+		t += r.Stats.FlitsTraversed
+	}
+	return t
+}
+
+// reportNsPerHop reports the timed loop's host time per flit hop, the
+// per-hop cost the router work targets.
+func reportNsPerHop(b *testing.B, hops uint64) {
+	if hops > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hops), "ns/hop")
 	}
 }
 

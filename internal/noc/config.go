@@ -96,8 +96,6 @@ type Config struct {
 	// Priority selects OCOR priority-based VC and switch allocation;
 	// false selects the baseline round-robin allocators.
 	Priority bool
-	// CollectPerHop enables more expensive per-hop statistics.
-	CollectPerHop bool
 	// NoPool disables the deterministic packet freelist: every NewPacket
 	// heap-allocates and FreePacket is a no-op. Results are required (and
 	// regression-tested) to be byte-identical either way; the flag exists

@@ -108,19 +108,35 @@ func TestFaultDelaySlowsDelivery(t *testing.T) {
 	}
 }
 
+// TestFaultFreezeStallsRouter freezes router 1 of a 2x2 mesh for cycles
+// [0, 200) while a packet crosses it, and pins the freeze accounting: every
+// tick of the frozen router while it holds a flit counts, in the
+// event-driven engine and in strict mode alike.
 func TestFaultFreezeStallsRouter(t *testing.T) {
-	n, inj := faultNet(t, 2, 2, fault.Plan{Events: []fault.Event{
-		{Kind: fault.KindFreeze, Router: 1, At: 0, Span: 200},
-	}})
-	var at uint64
-	n.SetSink(1, func(now uint64, pkt *Packet) { at = now })
-	n.Send(0, n.NewPacket(0, 1, ClassCtrl, VNetRequest, nil))
-	runNet(t, n, 10000)
-	if at < 200 {
-		t.Fatalf("packet through frozen router delivered at %d, want >= 200", at)
-	}
-	if inj.Stats.FrozenTicks.Load() == 0 {
-		t.Fatal("freeze never observed")
+	for _, tc := range []struct {
+		strict bool
+		frozen uint64
+	}{{false, 195}, {true, 197}} {
+		n, inj := faultNet(t, 2, 2, fault.Plan{Events: []fault.Event{
+			{Kind: fault.KindFreeze, Router: 1, At: 0, Span: 200},
+		}})
+		var at uint64
+		n.SetSink(1, func(now uint64, pkt *Packet) { at = now })
+		n.Send(0, n.NewPacket(0, 1, ClassCtrl, VNetRequest, nil))
+		e := sim.NewEngine()
+		e.FastForward = !tc.strict
+		e.Register(n)
+		e.MaxCycles = 10000
+		e.RunUntil(func() bool { return !n.Busy() })
+		if n.Busy() {
+			t.Fatalf("strict=%v: network not drained", tc.strict)
+		}
+		if at < 200 {
+			t.Fatalf("strict=%v: packet through frozen router delivered at %d, want >= 200", tc.strict, at)
+		}
+		if got := inj.Stats.FrozenTicks.Load(); got != tc.frozen {
+			t.Fatalf("strict=%v: FrozenTicks = %d, want %d", tc.strict, got, tc.frozen)
+		}
 	}
 }
 

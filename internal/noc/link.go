@@ -34,9 +34,10 @@ type creditEvent struct {
 // unit, which is what makes Network.Busy O(1).
 //
 // flitRecv/creditRecv, when non-nil, name the router input/output port that
-// consumes this link's flit/credit events. Such links enqueue themselves on
-// the network's pending lists on first send, so Network.Tick visits only
-// links that hold events instead of scanning every port. Links whose events
+// consumes this link's flit/credit events. Most router-bound flits skip the
+// queue (see sendFlit); a queued event puts its link on the network's
+// pending lists, so Network.Tick visits only links that hold events
+// instead of scanning every port. Links whose events
 // are consumed by an NI leave the receiver nil and are drained by the
 // ordered NI phases (NI order is visible through delivery callbacks, so it
 // must stay index-sequential).
@@ -95,14 +96,32 @@ func (l *link) flitFate(f flit, at uint64) (n int, when uint64, drop bool) {
 	return 1, at, false
 }
 
+// sendFlit puts flit f on the link toward input VC vc of the receiver,
+// arriving at cycle at. When the receiver is a router, no fault injector is
+// attached, no tick pool is attached and the link holds no queued flit, the
+// flit lands in the receiving VC now, stamped with at (Router.arrive): the
+// staging test keeps it ineligible until at+1, so the router sees what the
+// queue drain would have given it, without the queue, the pending-list entry
+// or the drain. Otherwise the flit is queued:
+//   - NI-bound ejection links keep their ordered drain (delivery order and
+//     timing are visible);
+//   - a fault injector decides the flit's fate on arrival (a drop returns
+//     its credit at drain time, a duplicate is discarded there);
+//   - with a tick pool attached a shard worker may be ticking the receiver;
+//   - a queued flit, e.g. one sent under a pool or restored from a
+//     snapshot, must not be overtaken.
 func (l *link) sendFlit(f flit, vc int, at uint64) {
+	if l.flitRecv != nil && l.faults == nil && len(l.flits) == 0 && l.net.exec == nil {
+		l.flitRecv.arrive(l.flitDir, vc, f, at, nil)
+		return
+	}
 	n, drop := 1, false
 	if l.faults != nil {
 		n, at, drop = l.flitFate(f, at)
 	}
-	l.flits = append(l.flits, flitEvent{f: f, vc: vc, at: at, drop: drop})
+	l.pushFlit(f, vc, at, drop, false)
 	if n == 2 {
-		l.flits = append(l.flits, flitEvent{f: f, vc: vc, at: at, dup: true})
+		l.pushFlit(f, vc, at, false, true)
 	}
 	*l.act += n
 	if l.flitRecv != nil {
@@ -114,6 +133,13 @@ func (l *link) sendFlit(f flit, vc int, at uint64) {
 		l.net.niEvents += n
 		l.net.niActive.set(l.niIdx)
 	}
+}
+
+// pushFlit appends one flit event, writing its fields in place.
+func (l *link) pushFlit(f flit, vc int, at uint64, drop, dup bool) {
+	l.flits = append(l.flits, flitEvent{})
+	ev := &l.flits[len(l.flits)-1]
+	ev.f, ev.vc, ev.at, ev.drop, ev.dup = f, vc, at, drop, dup
 }
 
 func (l *link) sendCredit(vc int, freeVC bool, at uint64) {
@@ -175,11 +201,11 @@ func (l *link) sendFlitPar(f flit, vc int, at uint64, sh *tickShard) {
 		// atomic, so the injector is safe from shard workers.
 		n, at, drop = l.flitFate(f, at)
 	}
-	l.flits = append(l.flits, flitEvent{f: f, vc: vc, at: at, drop: drop})
+	l.pushFlit(f, vc, at, drop, false)
 	sh.actDelta++
 	sh.sentF = append(sh.sentF, l)
 	if n == 2 {
-		l.flits = append(l.flits, flitEvent{f: f, vc: vc, at: at, dup: true})
+		l.pushFlit(f, vc, at, false, true)
 		sh.actDelta++
 		sh.sentF = append(sh.sentF, l)
 	}

@@ -360,9 +360,11 @@ func (n *Network) Tick(now uint64) {
 			return
 		}
 	}
-	// Phase 1: commit link events due this cycle into router buffers and
-	// router credit state. Only links holding events are on the pending
-	// lists; commits to distinct (router, port) pairs are independent, so
+	// Phase 1: commit queued link events due this cycle into router buffers
+	// and router credit state (most router-bound flits were buffered at
+	// send time and never queue, see link.sendFlit). Only links holding
+	// events are on the pending lists; commits to distinct (router, port)
+	// pairs are independent, so
 	// list order (send order) yields the same state as the full port scan
 	// — which is also what lets the executor drain the lists concurrently
 	// (bucketed by receiving node) when an observer keeps the router/NI
@@ -376,7 +378,7 @@ func (n *Network) Tick(now uint64) {
 			for _, l := range n.pendFlits {
 				if l.flits[0].at <= now {
 					n.scratchF = l.dueFlits(now, n.scratchF)
-					l.flitRecv.commit(now, n.scratchF, l.flitDir, nil)
+					l.flitRecv.commit(n.scratchF, l.flitDir, nil)
 				}
 				if len(l.flits) > 0 {
 					keep = append(keep, l)
@@ -410,10 +412,12 @@ func (n *Network) Tick(now uint64) {
 	n.deliverLoopback(now)
 	// Phase 4: router allocation and traversal. Summary-then-word bit
 	// iteration visits the flit-holding routers in ascending id order — the
-	// same order as a full scan (tick order is invisible anyway: routers
-	// only interact through link events committed in later cycles). A
-	// ticking router can only clear its own bit, never set another's, so
-	// iterating summary and word snapshots is safe.
+	// same order as a full scan (tick order is invisible anyway: a flit a
+	// router sends this cycle reaches its receiver at now+LinkLatency at
+	// the earliest). A ticking router clears its own bit and, through a
+	// direct send, can set a neighbour's. The neighbour then holds a flit
+	// no allocator may act on before now+LinkLatency+1, so whether the
+	// summary and word snapshots visit it this cycle changes nothing.
 	if n.routerFlits > 0 {
 		for sw, sword := range n.routerActive.sum {
 			for ; sword != 0; sword &= sword - 1 {
@@ -511,17 +515,25 @@ func (n *Network) NextWake(now uint64) uint64 {
 }
 
 // NextEventCycle returns the earliest cycle > now at which the network has
-// due work, or sim.Never when it is fully quiescent. It is exact, which is
-// what makes skipping safe: a Tick at any cycle before the returned one is
-// a provable no-op, so the skipped and unskipped simulations are
-// byte-identical (the signature matrices hold the event-driven engine to
-// strict mode, which ticks the network every cycle).
+// due work, or sim.Never when it is fully quiescent. It never answers late,
+// which is what makes skipping safe: a Tick at any cycle before the
+// returned one is a provable no-op, so the skipped and unskipped
+// simulations are byte-identical (the signature matrices hold the
+// event-driven engine to strict mode, which ticks the network every
+// cycle). It may answer early only through a router's readyAt, which may
+// read early; the extra ticks are then no-ops.
 //
 // Case analysis over the activity the counter tracks:
-//   - buffered router flits or queued NI packets: the router/injection
-//     phases may act every cycle (allocation depends on credit state that
-//     is expensive to predict), so answer conservatively with now+1 —
-//     these phases are also the busy case where skipping buys nothing.
+//   - queued NI packets: the injection phase may act every cycle
+//     (injection depends on credit state that is expensive to predict), so
+//     answer conservatively with now+1.
+//   - buffered router flits: a router acts no earlier than its readyAt. If
+//     any flit-holding router has readyAt <= now+1, answer now+1 — the busy
+//     case, where allocation may act every cycle and skipping buys nothing.
+//     Otherwise every buffered flit is still in flight (a direct send
+//     buffers it at send time, stamped with its arrival), and the smallest
+//     readyAt joins the horizon. That is the arrival cycle + 1, the same
+//     one-cycle-lazy wake a queued flit gets below.
 //   - router-consumed link events: senders append in increasing `at`
 //     order and drains consume due-prefixes, so the head's `at` bounds
 //     when work exists — and the wake is head.at + 1, a deliberate
@@ -530,21 +542,18 @@ func (n *Network) NextWake(now uint64) uint64 {
 //     the flit's staging eligibility is unchanged; an eligible flit could
 //     anyway act no earlier than at+1 (allocation requires now > arrival);
 //     and a credit committed at at+1 instead of at can only be read by
-//     the allocators of a router holding flits, which forces the now+1
-//     answer above and so excludes any deferral. Folding the arrival
-//     commit into the cycle the flit first acts halves the executed
-//     cycles of an uncontended hop.
+//     the allocators of a router with an eligible flit, which forces the
+//     now+1 answer above and so excludes any deferral.
 //   - credit events (router- or NI-consumed): fully shadowed. Credit
-//     state is only ever read by the VA/SA allocators of a router holding
-//     flits and by an NI with queued packets, and either reader forces
-//     the per-cycle now+1 answer above — so while credits alone remain,
-//     nothing can observe when they commit. Pending credits therefore
-//     contribute a single deferred horizon, the latest credit's `at`
-//     (per-link queues are nondecreasing in `at`, so that is the last
-//     element's), letting one wake commit every credit at once instead of
-//     one wake per batch. Any earlier flit-driven tick still commits the
-//     due prefix first (Tick phase 1 precedes the router phase), so a
-//     reader that does appear sees exactly the eager-drain credit state.
+//     state is only ever read by the VA/SA allocators of a router with an
+//     eligible flit and by an NI with queued packets. Either reader forces
+//     the now+1 answer above or wakes the network at its readyAt, whose
+//     Tick commits every due credit (phase 1) before the router phase —
+//     so while credits alone remain, nothing can observe when they commit.
+//     Pending credits therefore contribute a single deferred horizon, the
+//     latest credit's `at` (per-link queues are nondecreasing in `at`, so
+//     that is the last element's), letting one wake commit every credit at
+//     once instead of one wake per batch.
 //   - NI-consumed flit events (found through the niActive hierarchy):
 //     exact head `at`. Ejection timing is externally visible (delivery
 //     callbacks, DeliveredAt), so these are never deferred.
@@ -560,11 +569,27 @@ func (n *Network) NextEventCycle(now uint64) uint64 {
 		return sim.Never
 	}
 	floor := now + 1
-	if n.routerFlits > 0 || n.queuedPkts > 0 {
+	if n.queuedPkts > 0 {
 		return floor
 	}
 	next := uint64(sim.Never)
-	if len(n.loopback) > 0 {
+	if n.routerFlits > 0 {
+		for sw, sword := range n.routerActive.sum {
+			for ; sword != 0; sword &= sword - 1 {
+				w := sw<<6 | bits.TrailingZeros64(sword)
+				for word := n.routerActive.words[w]; word != 0; word &= word - 1 {
+					at := n.Routers[w<<6|bits.TrailingZeros64(word)].readyAt
+					if at <= floor {
+						return floor
+					}
+					if at < next {
+						next = at
+					}
+				}
+			}
+		}
+	}
+	if len(n.loopback) > 0 && n.loopback[0].at < next {
 		next = n.loopback[0].at
 	}
 	for _, l := range n.pendFlits {

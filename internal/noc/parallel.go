@@ -2,10 +2,16 @@ package noc
 
 // Sharded fused-tick executor.
 //
-// Within one cycle, routers interact with each other only through link
-// events that are committed in *later* cycles (every sender stamps
-// now+LinkLatency, latency >= 1), so every per-cycle phase of Network.Tick
-// that touches routers or injection is data-parallel across nodes. The
+// The sequential tick buffers most router-bound flits in the receiving
+// router at send time (link.sendFlit). With a pool attached that direct
+// send is off: a shard worker must not write into a router another worker
+// may be ticking, so every flit is queued on its link. Within one cycle,
+// routers then interact with each other only through link events that are
+// committed in *later* cycles (every sender stamps now+LinkLatency,
+// latency >= 1), so every per-cycle phase of Network.Tick that touches
+// routers or injection is data-parallel across nodes. Flits a sequential
+// cycle buffered before the pool was attached carry their arrival stamps
+// and are router-local state like any other buffered flit. The
 // executor partitions the node range into contiguous spatial shards
 // (router i and NI i always share a shard) and runs the heavy phases on a
 // persistent par.Pool.
@@ -371,7 +377,7 @@ func (n *Network) tickFused(now uint64) {
 		}
 		if l.flits[0].at <= now {
 			n.scratchF = l.dueFlits(now, n.scratchF)
-			l.flitRecv.commit(now, n.scratchF, l.flitDir, nil)
+			l.flitRecv.commit(n.scratchF, l.flitDir, nil)
 		}
 		if len(l.flits) > 0 {
 			n.pendFlits = append(n.pendFlits, l)
@@ -479,7 +485,7 @@ func (e *tickExec) fusedShard(worker int) {
 			var taken int
 			sh.scratchF, taken = l.takeDueFlits(now, sh.scratchF)
 			sh.actDelta -= taken
-			l.flitRecv.commit(now, sh.scratchF, l.flitDir, sh)
+			l.flitRecv.commit(sh.scratchF, l.flitDir, sh)
 		}
 		if len(l.flits) > 0 {
 			sh.keepF = append(sh.keepF, l)
@@ -579,7 +585,7 @@ func (e *tickExec) drainLinks(worker int) {
 			var taken int
 			sh.scratchF, taken = l.takeDueFlits(now, sh.scratchF)
 			sh.actDelta -= taken
-			l.flitRecv.commit(now, sh.scratchF, l.flitDir, sh)
+			l.flitRecv.commit(sh.scratchF, l.flitDir, sh)
 		}
 		if len(l.flits) > 0 {
 			sh.keepF = append(sh.keepF, l)

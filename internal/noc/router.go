@@ -49,16 +49,19 @@ type vcBuf struct {
 
 func (v *vcBuf) head() *flit { return &v.flits[v.hd] }
 
-func (v *vcBuf) push(f flit) {
-	i := int(v.hd + v.n)
-	if i >= len(v.flits) {
-		i -= len(v.flits)
+// push appends a flit that reached the buffer at cycle at, writing the
+// ring slot's fields in place.
+func (v *vcBuf) push(pkt *Packet, seq int, at uint64) {
+	i := v.hd + v.n
+	if int(i) >= len(v.flits) {
+		i -= int32(len(v.flits))
 	}
-	v.flits[i] = f
+	s := &v.flits[i]
+	s.pkt, s.seq, s.enqueuedAt = pkt, seq, at
 	if v.n == 0 {
-		v.headEnq = f.enqueuedAt
-		v.headKey = f.pkt.Prio.Key()
-		v.headVNet = uint8(f.pkt.VNet)
+		v.headEnq = at
+		v.headKey = pkt.Prio.Key()
+		v.headVNet = uint8(pkt.VNet)
 	}
 	v.n++
 }
@@ -106,7 +109,7 @@ type RouterStats struct {
 
 // Router is a 2-stage pipelined speculative VC router. Stage one performs
 // route computation, VC allocation and switch allocation in parallel
-// (a flit committed into a buffer at cycle t becomes eligible at t+1);
+// (a flit reaching an input buffer at cycle t becomes eligible at t+1);
 // stage two is switch traversal onto the output link.
 type Router struct {
 	cfg  *Config
@@ -144,15 +147,20 @@ type Router struct {
 	// flitCount is the total number of buffered flits; the router is
 	// skipped entirely when zero.
 	flitCount int
+	// readyAt is a lower bound on the first cycle at which a buffered flit
+	// can pass staging (now > headEnq): arrival cycle + 1 of the flit that
+	// made the router non-empty, lowered by every later arrival. It may read
+	// early, never late. Direct sends buffer flits before they arrive, so
+	// tick skips the allocators and NextEventCycle skips the router while
+	// now < readyAt.
+	readyAt uint64
 	// portFlits counts buffered flits per input port, so allocation skips
-	// empty ports without scanning their VCs. portRouted / portActive count
-	// that port's VCs in the vcRouted / vcActive states for the same reason.
-	portFlits  [NumDirs]int
-	portRouted [NumDirs]int
-	portActive [NumDirs]int
-	// routedMask / activeMask mirror portRouted / portActive as per-port
-	// bitmasks (bit v = VC v), letting the allocators iterate exactly the
-	// VCs in the wanted state instead of testing all of them.
+	// empty ports without scanning their VCs.
+	portFlits [NumDirs]int
+	// routedMask / activeMask hold each port's VCs in the vcRouted /
+	// vcActive states as bitmasks (bit v = VC v), letting the allocators
+	// iterate exactly the VCs in the wanted state instead of testing all of
+	// them.
 	routedMask [NumDirs]uint64
 	activeMask [NumDirs]uint64
 	// routedCount / activeCount track how many input VCs sit in the
@@ -265,24 +273,70 @@ func (r *Router) route(dst int) Dir {
 	}
 }
 
-// commit absorbs flit arrivals and credit returns due this cycle. sh, when
-// non-nil, marks a parallel drain phase: the network-wide activity/flit
-// counters and the shared active-router bitmap (whose 64-router words span
-// shard boundaries) must not be written concurrently, so their updates are
-// accumulated in the shard and applied by the commit phase in shard order.
-// Everything else commit touches is owned by this router alone.
-func (r *Router) commit(now uint64, fs []flitEvent, dir Dir, sh *tickShard) {
+// arrive is the one arrival routine: it buffers flit f in input VC vcIdx of
+// port dir, stamped with its arrival cycle at, and updates the head state,
+// masks, counters and activity bookkeeping. The allocators' staging test
+// (now > headEnq) holds the flit back until at+1 whenever it is written, so
+// a direct send (link.sendFlit, at send time) and the queue drain (commit,
+// at or after arrival) leave the allocators seeing the same state.
+//
+// sh, when non-nil, marks a parallel drain phase: the network-wide
+// activity/flit counters and the shared active-router bitmap (whose
+// 64-router words span shard boundaries) must not be written concurrently,
+// so their updates are accumulated in the shard and applied by the commit
+// phase in shard order. Everything else arrive touches is owned by this
+// router alone.
+func (r *Router) arrive(dir Dir, vcIdx int, f flit, at uint64, sh *tickShard) {
+	vc := &r.in[int(dir)*r.vcs+vcIdx]
+	if int(vc.n) >= len(vc.flits) {
+		panic(fmt.Sprintf("noc: router %d dir %s vc %d buffer overflow", r.id, dir, vcIdx))
+	}
+	if f.seq == 0 {
+		if vc.state != vcIdle {
+			panic(fmt.Sprintf("noc: router %d dir %s vc %d head flit into busy VC", r.id, dir, vcIdx))
+		}
+		vc.state = vcRouted
+		vc.outDir = r.route(f.pkt.Dst)
+		r.routedCount++
+		r.routedMask[dir] |= 1 << uint(vcIdx)
+	}
+	vc.push(f.pkt, f.seq, at)
+	if r.flitCount == 0 {
+		r.readyAt = at + 1
+		if sh == nil {
+			r.activeSet.set(r.id)
+		} else {
+			sh.nowActive = append(sh.nowActive, int32(r.id))
+		}
+	} else if at < r.readyAt {
+		r.readyAt = at + 1
+	}
+	if sh == nil {
+		*r.act++
+		*r.rf++
+	} else {
+		sh.actDelta++
+		sh.rfDelta++
+	}
+	r.flitCount++
+	r.portFlits[dir]++
+}
+
+// commit drains a batch of queued flit events arriving on input port dir.
+// sh follows arrive's parallel-phase contract.
+func (r *Router) commit(fs []flitEvent, dir Dir, sh *tickShard) {
 	// eff is the event's effective arrival cycle: the cycle a per-cycle
 	// drain would first have committed it. Queues are FIFO but not sorted
 	// by `at` — a fault-delayed event can sit ahead of earlier-due ones and
 	// block them in the queue — so the effective arrival is the running
 	// maximum of `at` over the batch, not the event's own stamp. On every
-	// eager drain eff == now for the whole batch; it differs only when
-	// fast-forward commits a router-bound head lazily (one cycle past its
-	// due cycle, see NextEventCycle), and then the arrival-relative stamp
-	// is exactly what keeps the lazy drain byte-identical.
+	// eager drain eff is the drain cycle; it differs only when fast-forward
+	// commits a router-bound head lazily (one cycle past its due cycle, see
+	// NextEventCycle), and then the arrival-relative stamp is exactly what
+	// keeps the lazy drain byte-identical.
 	eff := uint64(0)
-	for _, ev := range fs {
+	for i := range fs {
+		ev := &fs[i]
 		if ev.at > eff {
 			eff = ev.at
 		}
@@ -313,42 +367,7 @@ func (r *Router) commit(now uint64, fs []flitEvent, dir Dir, sh *tickShard) {
 			}
 			continue
 		}
-		vc := r.vc(dir, ev.vc)
-		if int(vc.n) >= r.cfg.VCDepth {
-			panic(fmt.Sprintf("noc: router %d dir %s vc %d buffer overflow", r.id, dir, ev.vc))
-		}
-		f := ev.f
-		// Stamp the effective arrival cycle (== now on every eager drain):
-		// the allocators' staging test is relative to when the flit reached
-		// the buffer, so a lazy drain leaves the flit's allocation
-		// eligibility, and with it every downstream decision, unchanged.
-		f.enqueuedAt = eff
-		if f.isHead() {
-			if vc.state != vcIdle {
-				panic(fmt.Sprintf("noc: router %d dir %s vc %d head flit into busy VC", r.id, dir, ev.vc))
-			}
-			vc.state = vcRouted
-			vc.outDir = r.route(f.pkt.Dst)
-			r.routedCount++
-			r.portRouted[dir]++
-			r.routedMask[dir] |= 1 << uint(ev.vc)
-		}
-		vc.push(f)
-		if sh == nil {
-			if r.flitCount == 0 {
-				r.activeSet.set(r.id)
-			}
-			*r.act++
-			*r.rf++
-		} else {
-			if r.flitCount == 0 {
-				sh.nowActive = append(sh.nowActive, int32(r.id))
-			}
-			sh.actDelta++
-			sh.rfDelta++
-		}
-		r.flitCount++
-		r.portFlits[dir]++
+		r.arrive(dir, ev.vc, ev.f, eff, sh)
 	}
 }
 
@@ -382,6 +401,12 @@ func (r *Router) tick(now uint64, sh *tickShard, sc *allocScratch) {
 		// Frozen pipeline: no allocation or traversal this cycle. Arrivals
 		// still commit (the credit protocol bounds them to buffer space),
 		// so a thawed router resumes from a consistent state.
+		return
+	}
+	if now < r.readyAt {
+		// No buffered flit has passed staging: both allocators would find
+		// nothing eligible. The test sits after Frozen so that freeze
+		// accounting counts every tick of a flit-holding router.
 		return
 	}
 	r.allocateVCs(now, sc)
@@ -545,8 +570,6 @@ func (r *Router) tryAssignVC(now uint64, op *outPort, req vaReq) bool {
 				// only genuine vcRouted->vcActive transitions are counted.
 				r.routedCount--
 				r.activeCount++
-				r.portRouted[req.dir]--
-				r.portActive[req.dir]++
 				r.routedMask[req.dir] &^= 1 << uint(req.vc)
 				r.activeMask[req.dir] |= 1 << uint(req.vc)
 			}
@@ -755,12 +778,13 @@ func (r *Router) recordArbitration(now uint64, cands []saCand, winner int, outDi
 }
 
 // traverse is stage two: move the head flit of the granted input VC onto
-// the output link and return a credit upstream. With sh non-nil the moves
-// still happen immediately (the link queues are single-sender, so the
-// appends are private to this worker), but every shared-state side effect
-// — activity counters, the active-router bitmap, pending-list and NI
-// bitmap registration — is deferred into the shard for the ordered commit
-// phase.
+// the output link (sequentially, usually straight into the downstream
+// input VC; see link.sendFlit) and return a credit upstream. With sh
+// non-nil both are queued immediately (the link queues are single-sender,
+// so the appends are private to this worker), but every shared-state side
+// effect — activity counters, the active-router bitmap, pending-list and
+// NI bitmap registration — is deferred into the shard for the ordered
+// commit phase.
 func (r *Router) traverse(now uint64, inDir Dir, vcIdx int, sh *tickShard) {
 	vc := r.vc(inDir, vcIdx)
 	f := vc.pop()
@@ -800,7 +824,6 @@ func (r *Router) traverse(now uint64, inDir Dir, vcIdx int, sh *tickShard) {
 		}
 		vc.state = vcIdle
 		r.activeCount--
-		r.portActive[inDir]--
 		r.activeMask[inDir] &^= 1 << uint(vcIdx)
 	}
 }

@@ -555,16 +555,16 @@ func (n *Network) RestoreFrom(r *checkpoint.Reader, loadPayload PayloadLoader) e
 }
 
 // recomputeDerived rebuilds the router's counters and per-port masks from
-// the restored VC states: flit totals per port, routed/active VC counts
-// and the bit masks the allocators iterate.
+// the restored VC states: flit totals per port, routed/active VC counts,
+// the bit masks the allocators iterate, and readyAt as the earliest head
+// flit's arrival + 1 (body flits never pass staging before their head).
 func (r *Router) recomputeDerived() {
 	r.flitCount = 0
 	r.routedCount = 0
 	r.activeCount = 0
+	r.readyAt = 0
 	for d := Dir(0); d < NumDirs; d++ {
 		r.portFlits[d] = 0
-		r.portRouted[d] = 0
-		r.portActive[d] = 0
 		r.routedMask[d] = 0
 		r.activeMask[d] = 0
 	}
@@ -572,16 +572,17 @@ func (r *Router) recomputeDerived() {
 		vc := &r.in[i]
 		d := Dir(i / r.vcs)
 		v := uint(i % r.vcs)
+		if vc.n > 0 && (r.flitCount == 0 || vc.headEnq < r.readyAt) {
+			r.readyAt = vc.headEnq + 1
+		}
 		r.flitCount += int(vc.n)
 		r.portFlits[d] += int(vc.n)
 		switch vc.state {
 		case vcRouted:
 			r.routedCount++
-			r.portRouted[d]++
 			r.routedMask[d] |= 1 << v
 		case vcActive:
 			r.activeCount++
-			r.portActive[d]++
 			r.activeMask[d] |= 1 << v
 		}
 	}

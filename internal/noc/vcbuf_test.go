@@ -8,14 +8,13 @@ func TestVCBufRing(t *testing.T) {
 	const depth = 4
 	v := &vcBuf{flits: make([]flit, depth)}
 	pkt := &Packet{}
-	mk := func(seq int) flit { return flit{pkt: pkt, seq: seq} }
 
 	next := 0 // next sequence to push
 	want := 0 // next sequence expected from pop
 	for round := 0; round < 3*depth; round++ {
 		// Fill to capacity...
 		for v.n < depth {
-			v.push(mk(next))
+			v.push(pkt, next, 0)
 			next++
 		}
 		if v.head().seq != want {
