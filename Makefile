@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race check bench perfbench-test bench-smoke fmt-check fuzz-smoke fleet-smoke
+.PHONY: build vet test race check bench perfbench-test bench-smoke fmt-check fuzz-smoke fleet-smoke trace-smoke
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,19 @@ fuzz-smoke:
 fleet-smoke:
 	$(GO) test -race -run 'TestChaosRecoveryInvariant|TestSpool|TestFleet' ./internal/fleet/
 	$(GO) test -race -run 'TestSweepFleet' ./cmd/sweep/
+
+# trace-smoke drives the observation path through the three commands
+# that write or render it: two Perfetto exports of the same noctrace run
+# must be byte-identical, and ocorsim's and the Fig. 10 experiment's
+# execution profiles (rendered from the recorder's streaming statistics)
+# must come out without error.
+trace-smoke:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/noctrace -priority -trace $$tmp/a.json > /dev/null && \
+	$(GO) run ./cmd/noctrace -priority -trace $$tmp/b.json > /dev/null && \
+	cmp $$tmp/a.json $$tmp/b.json && \
+	$(GO) run ./cmd/ocorsim -bench body -threads 16 -scale 0.1 -trace -histo -traceout $$tmp/o.json && \
+	$(GO) run ./cmd/experiments -run fig10 -scale 0.1
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/noc/ .

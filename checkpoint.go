@@ -17,10 +17,10 @@ import (
 // to completion yields byte-identical Results to the uninterrupted run,
 // for both engine modes, every worker count and every lock protocol.
 //
-// Observation sinks (obs recorders, trace timelines, watchdogs) are not
-// part of the checkpoint: they are read-only observers, so the restored
-// simulation is unaffected — but a recorder attached to a restored run
-// only sees events from the restore point on.
+// Observation sinks (obs recorders, watchdogs) are not part of the
+// checkpoint: they are read-only observers, so the restored simulation is
+// unaffected — but a recorder attached to a restored run only sees events
+// from the restore point on.
 func (s *System) Snapshot() (*checkpoint.Snapshot, error) {
 	w := checkpoint.NewWriter()
 	hasKernel := !s.Kernel.Inert()

@@ -182,15 +182,7 @@ func writeFig10Trace(path string, threads int, seed uint64, scale float64, noPoo
 	if _, err := sys.Run(); err != nil {
 		return err
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteTrace(f, rec.Events(), rec.Dropped()); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := obs.WriteTraceFile(path, rec); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "experiments: wrote %s (%d events, %d evicted); open in ui.perfetto.dev\n",

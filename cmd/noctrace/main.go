@@ -198,15 +198,7 @@ func main() {
 		fmt.Printf("\nflit-hops %d, switch-allocation conflict cycles %d\n", traversed, conflicts)
 	}
 	if rec != nil {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := obs.WriteTrace(f, rec.Events(), rec.Dropped()); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := obs.WriteTraceFile(*traceOut, rec); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "noctrace: wrote %s (%d events, %d evicted)\n", *traceOut, rec.Len(), rec.Dropped())

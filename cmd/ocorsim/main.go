@@ -64,7 +64,7 @@ func main() {
 	// topology is reported once, before any simulation output.
 	runCfg := repro.Config{
 		Benchmark: p, Threads: *threads, PriorityLevels: *levels,
-		Seed: *seed, Trace: *trace, NoPool: *noPool, Workers: *workers,
+		Seed: *seed, NoPool: *noPool, Workers: *workers,
 		Protocol: *proto,
 	}
 	if err := runCfg.Validate(); err != nil {
@@ -75,6 +75,10 @@ func main() {
 		cfg := runCfg
 		cfg.OCOR = enabled
 		cfg.Obs = rec
+		if rec == nil && *trace {
+			// The execution profile only needs the region events.
+			cfg.Obs = obs.NewProfileRecorder()
+		}
 		sys, err := repro.New(cfg)
 		if err != nil {
 			fatal(err)
@@ -89,7 +93,7 @@ func main() {
 				rec.Stats.Summary(os.Stdout, func(i int) string { return noc.Class(i).String() })
 			}
 			if *traceOut != "" {
-				if err := writeTrace(*traceOut, rec); err != nil {
+				if err := obs.WriteTraceFile(*traceOut, rec); err != nil {
 					fatal(err)
 				}
 				fmt.Fprintf(os.Stderr, "ocorsim: wrote %s (%d events, %d evicted); open in ui.perfetto.dev\n",
@@ -102,7 +106,7 @@ func main() {
 				window = res.ROIFinish
 			}
 			fmt.Printf("\nexecution profile (ocor=%v, first %d cycles):\n", enabled, window)
-			fmt.Print(sys.Timeline.RenderString(16, window, window/60+1))
+			fmt.Print(cfg.Obs.Stats.Gantt(16, window, window/60+1))
 		}
 		if *locks {
 			fmt.Printf("\nper-lock statistics (ocor=%v, protocol=%s):\n", enabled, sys.Kernel.Protocol())
@@ -150,18 +154,6 @@ func print1(r metrics.Results) {
 	fmt.Printf("  mean blocking time     %12.0f cycles (mean COH %.0f)\n", r.MeanBT, r.MeanCOH)
 	fmt.Printf("  lock packet latency    %12.1f cycles (data %.1f)\n", r.LockLatency, r.DataLatency)
 	fmt.Printf("  injection rate         %12.4f flits/node/cycle\n", r.NetInjRate)
-}
-
-func writeTrace(path string, rec *obs.Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteTrace(f, rec.Events(), rec.Dropped()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

@@ -23,7 +23,7 @@ import (
 
 // Version is the current checkpoint format version. Readers reject files
 // with a different version: state layout changes must bump it.
-const Version uint32 = 1
+const Version uint32 = 2
 
 // magic identifies checkpoint files on disk.
 var magic = [8]byte{'O', 'C', 'O', 'R', 'C', 'K', 'P', 'T'}

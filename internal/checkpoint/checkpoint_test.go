@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -154,6 +155,27 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadFile(bad); err == nil {
 		t.Fatal("bad magic not rejected")
+	}
+}
+
+// TestReadFileRejectsOldVersion checks that a file written by a build of
+// the previous format version is refused with its version error, so
+// callers that cache snapshots on disk fall back to a cold run.
+func TestReadFileRejectsOldVersion(t *testing.T) {
+	w := NewWriter()
+	w.Begin("s")
+	w.U64(42)
+	w.End()
+	old := w.Snapshot()
+	old.Version = Version - 1
+	path := filepath.Join(t.TempDir(), "old.ckpt")
+	if err := old.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadFile(path)
+	want := fmt.Sprintf("checkpoint: old.ckpt: format version %d, this build reads %d", Version-1, Version)
+	if err == nil || err.Error() != want {
+		t.Fatalf("ReadFile of a version-%d file: %v, want %q", Version-1, err, want)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/noc"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -207,9 +208,10 @@ func TestTwoThreadsExclusion(t *testing.T) {
 	}
 }
 
+// TestRegionListeners checks the region transitions the attached
+// recorder sees for one thread, in order.
 func TestRegionListeners(t *testing.T) {
 	h := newHarness(t, 2, 2)
-	var events []Region
 	prog := Program{
 		{Kind: OpCompute, Arg: 10},
 		{Kind: OpLock, Arg: 0},
@@ -220,15 +222,18 @@ func TestRegionListeners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs.AddRegionListener(func(thread int, r Region, now uint64) {
-		if thread == 0 {
-			events = append(events, r)
-		}
-	})
+	rec := obs.NewProfileRecorder()
+	cs.SetObserver(rec)
 	h.e.Register(cs)
 	h.e.MaxCycles = 1000000
 	cs.Start(0)
 	h.e.RunUntil(cs.AllDone)
+	var events []Region
+	for _, ev := range rec.Events() {
+		if ev.Node == 0 {
+			events = append(events, Region(ev.A))
+		}
+	}
 	want := []Region{RegionParallel, RegionBlocked, RegionCS, RegionParallel, RegionDone}
 	if len(events) != len(want) {
 		t.Fatalf("events = %v", events)

@@ -19,7 +19,6 @@ type System struct {
 
 	delay     sim.DelayQueue
 	remaining int
-	listeners []RegionListener
 	barriers  map[int]*barrier
 	// obs, when non-nil, receives region-transition events.
 	obs *obs.Recorder
@@ -91,20 +90,12 @@ func (s *System) barrierArrive(now uint64, group int, t *Thread) {
 	}
 }
 
-// AddRegionListener registers a thread-region observer.
-func (s *System) AddRegionListener(l RegionListener) {
-	s.listeners = append(s.listeners, l)
-}
-
 // SetObserver attaches a structured-event recorder (nil detaches).
 func (s *System) SetObserver(r *obs.Recorder) { s.obs = r }
 
 func (s *System) notifyRegion(thread int, r Region, now uint64) {
 	if s.obs != nil {
 		s.obs.Region(now, thread, uint8(r))
-	}
-	for _, l := range s.listeners {
-		l(thread, r, now)
 	}
 }
 

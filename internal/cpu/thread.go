@@ -19,9 +19,6 @@ func (r Region) String() string {
 	return [...]string{"parallel", "blocked", "cs", "done"}[r]
 }
 
-// RegionListener observes thread region transitions (for traces).
-type RegionListener func(thread int, r Region, now uint64)
-
 // ThreadStats is the per-thread time breakdown.
 type ThreadStats struct {
 	StartedAt  uint64

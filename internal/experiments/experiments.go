@@ -98,9 +98,9 @@ func (o Options) profiles() []workload.Profile {
 // (Options.Workers).
 type Runner func(p workload.Profile, threads int, ocor bool, levels int, seed uint64, protocol string, nopool bool, workers int) (metrics.Results, error)
 
-// TraceRunner additionally returns a rendered execution-profile timeline
-// (Fig. 10) covering the first `window` cycles of `traceThreads` threads.
-type TraceRunner func(p workload.Profile, threads int, ocor bool, seed uint64, protocol string, traceThreads int, window uint64, nopool bool, workers int) (metrics.Results, string, error)
+// TraceRunner additionally returns the run's rendered execution profile
+// (Fig. 10).
+type TraceRunner func(p workload.Profile, threads int, ocor bool, seed uint64, protocol string, nopool bool, workers int) (metrics.Results, string, error)
 
 var (
 	runner Runner

@@ -48,7 +48,7 @@ func fakeRunner(p workload.Profile, threads int, ocor bool, levels int, seed uin
 	return r, nil
 }
 
-func fakeTracer(p workload.Profile, threads int, ocor bool, seed uint64, protocol string, traceThreads int, window uint64, nopool bool, workers int) (metrics.Results, string, error) {
+func fakeTracer(p workload.Profile, threads int, ocor bool, seed uint64, protocol string, nopool bool, workers int) (metrics.Results, string, error) {
 	r, err := fakeRunner(p, threads, ocor, 0, seed, protocol, nopool, workers)
 	return r, "t00 |...###CC...|\nbreakdown: parallel 60.0% blocked 35.0% critical-section 5.0%\n", err
 }

@@ -66,12 +66,11 @@ func Fig10(o Options) (Fig10Result, error) {
 		return Fig10Result{}, err
 	}
 	p = p.Scale(o.Scale)
-	const traceThreads = 16
-	base, baseTrace, err := tracer(p, o.Threads, false, o.Seed, o.Protocol, traceThreads, 0, o.NoPool, o.Workers)
+	base, baseTrace, err := tracer(p, o.Threads, false, o.Seed, o.Protocol, o.NoPool, o.Workers)
 	if err != nil {
 		return Fig10Result{}, err
 	}
-	ocor, ocorTrace, err := tracer(p, o.Threads, true, o.Seed, o.Protocol, traceThreads, 0, o.NoPool, o.Workers)
+	ocor, ocorTrace, err := tracer(p, o.Threads, true, o.Seed, o.Protocol, o.NoPool, o.Workers)
 	if err != nil {
 		return Fig10Result{}, err
 	}

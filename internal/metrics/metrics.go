@@ -11,7 +11,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/kernel"
 	"repro/internal/noc"
-	"repro/internal/sim"
+	"repro/internal/obs"
 )
 
 // Collector accumulates lock lifecycle events during a run. It implements
@@ -30,21 +30,15 @@ type Collector struct {
 	TotalSleeps   uint64
 	TotalRetries  uint64
 
-	COHDist sim.Accumulator
-	BTDist  sim.Accumulator
-	// COHHist and BTHist are power-of-two bucket histograms used for
-	// approximate tail quantiles of the blocking-time decomposition.
-	COHHist *sim.Histogram
-	BTHist  *sim.Histogram
+	// COHHist and BTHist are the per-acquisition distributions of the
+	// blocking-time decomposition: their means and tail quantiles.
+	COHHist obs.LogHist
+	BTHist  obs.LogHist
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{
-		perThread: make(map[int]*ThreadMetrics),
-		COHHist:   sim.NewHistogram(32),
-		BTHist:    sim.NewHistogram(32),
-	}
+	return &Collector{perThread: make(map[int]*ThreadMetrics)}
 }
 
 // ThreadMetrics is the per-thread lock-path accumulation.
@@ -75,8 +69,6 @@ func (c *Collector) Acquired(ev kernel.AcquireEvent) {
 	} else {
 		c.SleepAcquires++
 	}
-	c.COHDist.Observe(float64(ev.COH))
-	c.BTDist.Observe(float64(ev.BT))
 	c.COHHist.Observe(ev.COH)
 	c.BTHist.Observe(ev.BT)
 }
@@ -153,9 +145,9 @@ type Results struct {
 	Fairness float64
 
 	// 95th-percentile blocking time and competition overhead per
-	// acquisition, as the lower bound of the power-of-two bucket the
-	// quantile falls in (sim.Histogram.Quantile): the true p95 may be up
-	// to twice this value.
+	// acquisition, as the upper bound b of the power-of-two bucket
+	// [b/2, b) the quantile falls in (obs.LogHist.Quantile): the true p95
+	// is below b and at least b/2.
 	BTP95  uint64
 	COHP95 uint64
 }
@@ -176,8 +168,8 @@ func (c *Collector) Finalize(name string, ocor bool, cpus *cpu.System, net *noc.
 		SpinFraction: c.SpinFraction(),
 		TotalSleeps:  c.TotalSleeps,
 		TotalRetries: c.TotalRetries,
-		MeanCOH:      c.COHDist.Mean(),
-		MeanBT:       c.BTDist.Mean(),
+		MeanCOH:      c.COHHist.Mean(),
+		MeanBT:       c.BTHist.Mean(),
 	}
 	for _, t := range cpus.Threads {
 		r.CSTime += t.Stats.CSCycles

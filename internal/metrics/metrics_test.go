@@ -40,7 +40,7 @@ func TestCollectorAccumulation(t *testing.T) {
 	if c.Thread(99) != nil {
 		t.Fatal("unknown thread should be nil")
 	}
-	if c.COHDist.Count() != 3 {
+	if c.COHHist.Count() != 3 || c.COHHist.Mean() != 190.0/3 {
 		t.Fatal("distribution not recorded")
 	}
 }
@@ -144,7 +144,7 @@ func TestHistogramsRecorded(t *testing.T) {
 	if p95 < p50 {
 		t.Fatalf("quantiles inverted: p50=%d p95=%d", p50, p95)
 	}
-	if p95 < 512 { // samples reach 1000; bucket bound must be >= 512
-		t.Fatalf("p95 bound too low: %d", p95)
+	if p95 != 1024 { // the p95 sample, 960, lies in [512,1024): its upper bound
+		t.Fatalf("p95 bound = %d, want 1024", p95)
 	}
 }

@@ -140,10 +140,6 @@ type Router struct {
 	inLink  [NumDirs]*link
 	outLink [NumDirs]*link
 
-	// lpaPtr is the per-input-port round-robin pointer of the local
-	// (first-stage) arbiter.
-	lpaPtr [NumDirs]int
-
 	// flitCount is the total number of buffered flits; the router is
 	// skipped entirely when zero.
 	flitCount int
@@ -590,7 +586,9 @@ func (r *Router) allocateSwitch(now uint64, sh *tickShard, sc *allocScratch) {
 	if r.activeCount == 0 {
 		return
 	}
-	// Stage 1: LPA per input port.
+	// Stage 1: LPA per input port (the lowest-index ready VC, or under
+	// priority arbitration the highest-priority one; EXPERIMENTS.md known
+	// deviation 7).
 	cands := sc.saCands[:0]
 	for inDir := Dir(0); inDir < NumDirs; inDir++ {
 		mask := r.activeMask[inDir]
@@ -598,44 +596,22 @@ func (r *Router) allocateSwitch(now uint64, sh *tickShard, sc *allocScratch) {
 			continue // no active VC holding a flit on this port
 		}
 		port := r.in[int(inDir)*r.vcs:]
-		if mask&(mask-1) == 0 {
-			// One active VC on this port — by far the common case. The
-			// rotated scan would visit exactly this VC once wherever the
-			// pointer stands, so test it directly.
-			v := bits.TrailingZeros64(mask)
-			vc := &port[v]
-			if vc.n != 0 && now > vc.headEnq &&
-				r.out[vc.outDir].credits[vc.outVC] > 0 {
-				cands = append(cands, saCand{dir: inDir, vc: v})
-			}
-			continue
-		}
+		// The first ready VC in ascending index order wins; under priority
+		// arbitration a later one displaces it only with a higher key.
 		best := -1
 		var bestKey uint32
-		n := r.vcs
-		p := r.lpaPtr[inDir]
-		if p >= n {
-			p %= n
-		}
-		// Bit iteration over the active VCs in rotated order: indices
-		// [p, n) first, then [0, p) — the same circular visit order as a
-		// full scan starting at the pointer.
-		lo := uint64(1)<<uint(p) - 1
-	scan:
-		for _, m := range [2]uint64{mask &^ lo, mask & lo} {
-			for ; m != 0; m &= m - 1 {
-				v := bits.TrailingZeros64(m)
-				vc := &port[v]
-				if vc.n != 0 && now > vc.headEnq && // stage-one latency
-					r.out[vc.outDir].credits[vc.outVC] > 0 { // downstream space
-					if best == -1 {
-						best, bestKey = v, vc.headKey
-						if !r.prio {
-							break scan // round-robin: first ready VC from the pointer wins
-						}
-					} else if vc.headKey > bestKey {
-						best, bestKey = v, vc.headKey
+		for m := mask; m != 0; m &= m - 1 {
+			v := bits.TrailingZeros64(m)
+			vc := &port[v]
+			if vc.n != 0 && now > vc.headEnq && // stage-one latency
+				r.out[vc.outDir].credits[vc.outVC] > 0 { // downstream space
+				if best == -1 {
+					best, bestKey = v, vc.headKey
+					if !r.prio {
+						break // round-robin mode: no priority to compare
 					}
+				} else if vc.headKey > bestKey {
+					best, bestKey = v, vc.headKey
 				}
 			}
 		}

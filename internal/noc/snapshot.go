@@ -215,7 +215,6 @@ func (n *Network) SnapshotTo(w *checkpoint.Writer, savePayload PayloadSaver) err
 		w.U64(rt.Stats.SAGrants)
 		w.U64(rt.Stats.SAConflicts)
 		for d := Dir(0); d < NumDirs; d++ {
-			w.Int(rt.lpaPtr[d])
 			op := &rt.out[d]
 			w.Int(op.vaPtr)
 			w.Int(op.saPtr)
@@ -426,7 +425,6 @@ func (n *Network) RestoreFrom(r *checkpoint.Reader, loadPayload PayloadLoader) e
 		rt.Stats.SAGrants = r.U64()
 		rt.Stats.SAConflicts = r.U64()
 		for d := Dir(0); d < NumDirs; d++ {
-			rt.lpaPtr[d] = r.Int()
 			op := &rt.out[d]
 			op.vaPtr = r.Int()
 			op.saPtr = r.Int()

@@ -11,10 +11,11 @@
 // asserts it — the recorder only observes, never mutates).
 //
 // On top of the raw event stream the package provides streaming log-bucket
-// latency statistics (Stats, updated as events are emitted, so they survive
-// ring-buffer eviction), a Perfetto/Chrome trace-event JSON exporter
-// (WriteTrace) and an acquisition-lifecycle query layer (Acquisitions,
-// TopSlowest) used by cmd/traceq.
+// latency statistics and per-thread execution profiles (Stats, updated as
+// events are emitted, so they survive ring-buffer eviction; Stats.Gantt
+// renders the paper's Fig. 10), a Perfetto/Chrome trace-event JSON
+// exporter (WriteTrace) and an acquisition-lifecycle query layer
+// (Acquisitions, TopSlowest) used by cmd/traceq.
 package obs
 
 import "repro/internal/core"

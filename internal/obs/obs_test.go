@@ -128,6 +128,41 @@ func TestLogHist(t *testing.T) {
 	}
 }
 
+// TestLogHistQuantileBounds pins the quantile convention: the upper bound
+// of the power-of-two bucket the quantile falls in, and the observed max
+// in the unbounded last bucket. metrics.Results.BTP95/COHP95 and with them
+// the pinned seed signatures depend on these values.
+func TestLogHistQuantileBounds(t *testing.T) {
+	for _, tc := range []struct {
+		samples []uint64
+		q       float64
+		want    uint64
+	}{
+		{nil, 0.5, 0},
+		{[]uint64{0}, 0.5, 1},
+		{[]uint64{1}, 0.5, 2},
+		{[]uint64{3}, 0.5, 4},
+		{[]uint64{4}, 0.5, 8},
+		{[]uint64{1000}, 0.95, 1024},
+		{[]uint64{1023}, 0.95, 1024},
+		{[]uint64{1024}, 0.95, 2048},
+		{[]uint64{1, 2, 3, 100, 1000}, 0, 2},
+		{[]uint64{1, 2, 3, 100, 1000}, 0.5, 4},
+		{[]uint64{1, 2, 3, 100, 1000}, 0.95, 1024},
+		{[]uint64{1, 2, 3, 100, 1000}, 1, 1024},
+		{[]uint64{1<<30 - 1}, 0.5, 1 << 30},
+		{[]uint64{1 << 40}, 0.5, 1 << 40}, // overflow bucket [2^30,inf): the max
+	} {
+		var h LogHist
+		for _, v := range tc.samples {
+			h.Observe(v)
+		}
+		if got := h.Quantile(tc.q); got != tc.want {
+			t.Errorf("%v: Quantile(%v) = %d, want %d", tc.samples, tc.q, got, tc.want)
+		}
+	}
+}
+
 func TestStatsObserve(t *testing.T) {
 	r := NewRecorder(64)
 	prio := core.Priority{Check: true, Class: 2, Prog: 1}
@@ -259,6 +294,59 @@ func TestWriteTraceRoundTripAndFlows(t *testing.T) {
 	for i := range back {
 		if back[i] != evs[i] {
 			t.Fatalf("event %d: %+v != %+v", i, back[i], evs[i])
+		}
+	}
+}
+
+// TestWriteTraceReproducible checks that trace files are byte-identical
+// across exports of the same events: metadata and end-of-trace slices come
+// out in ascending id order, not map order.
+func TestWriteTraceReproducible(t *testing.T) {
+	r := NewRecorder(1024)
+	const routers = 100
+	for i := 0; i < routers; i++ {
+		r.Hop(uint64(10+i), (i*37)%routers, uint64(i), 1, 0, 1, 0)
+	}
+	for th := 20; th > 0; th-- {
+		r.ThreadState(uint64(th), th, 1) // still spinning at the end
+		r.Region(uint64(th), th, regionBlocked)
+	}
+	evs := r.Events()
+	var first bytes.Buffer
+	if err := WriteTrace(&first, evs, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		var again bytes.Buffer
+		if err := WriteTrace(&again, evs, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), again.Bytes()) {
+			t.Fatal("two exports of the same events differ")
+		}
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+			Tid  int64  `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(first.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var tids []int64
+	for _, te := range doc.TraceEvents {
+		if te.Ph == "M" && te.Name == "thread_name" {
+			tids = append(tids, te.Tid)
+		}
+	}
+	if len(tids) != routers {
+		t.Fatalf("%d router names, want %d", len(tids), routers)
+	}
+	for i, tid := range tids {
+		if tid != int64(i) {
+			t.Fatalf("router names out of order: %v", tids)
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"slices"
 )
 
 // Track pids of the exported trace. Perfetto renders one process group per
@@ -166,7 +168,7 @@ func WriteTrace(w io.Writer, evs []Event, dropped uint64) error {
 				}
 			}
 			// The done region ends the track.
-			*o = open{at: ev.At, state: ev.A, set: int(ev.A) != len(regionNames)-1}
+			*o = open{at: ev.At, state: ev.A, set: ev.A != regionDone}
 		case KindAcquire:
 			lockHeld[ev.V1] = struct {
 				at     uint64
@@ -182,18 +184,14 @@ func WriteTrace(w io.Writer, evs []Event, dropped uint64) error {
 			}
 		}
 	}
-	for tid, o := range threadState {
-		if o.set {
-			if err := closeState(pidThreads, tid, o, threadStateNames[:], maxTs); err != nil {
-				return err
-			}
+	for _, tid := range sortedKeys(threadState) {
+		if err := closeState(pidThreads, tid, threadState[tid], threadStateNames[:], maxTs); err != nil {
+			return err
 		}
 	}
-	for tid, o := range threadRegion {
-		if o.set {
-			if err := closeState(pidRegions, tid, o, regionNames[:], maxTs); err != nil {
-				return err
-			}
+	for _, tid := range sortedKeys(threadRegion) {
+		if err := closeState(pidRegions, tid, threadRegion[tid], regionNames[:], maxTs); err != nil {
+			return err
 		}
 	}
 
@@ -242,7 +240,7 @@ func WriteTrace(w io.Writer, evs []Event, dropped uint64) error {
 	if err := meta(pidRegions, "threads (regions)"); err != nil {
 		return err
 	}
-	for r := range seenRouter {
+	for _, r := range sortedKeys(seenRouter) {
 		err := enc.emit(traceEvent{Name: "thread_name", Ph: "M", Pid: pidRouters, Tid: int64(r),
 			Args: map[string]any{"name": fmt.Sprintf("router %d", r)}})
 		if err != nil {
@@ -269,6 +267,31 @@ func WriteTrace(w io.Writer, evs []Event, dropped uint64) error {
 		return err
 	}
 	return bw.Flush()
+}
+
+// WriteTraceFile writes the recorder's retained events to a new file at
+// path with WriteTrace.
+func WriteTraceFile(path string, r *Recorder) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := WriteTrace(f, r.Events(), r.Dropped()); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// sortedKeys returns m's keys in ascending order, so output built from a
+// map is byte-reproducible.
+func sortedKeys[V any](m map[int32]V) []int32 {
+	keys := make([]int32, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // eventEncoder streams traceEvents with separating commas.

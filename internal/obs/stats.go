@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"io"
+
+	"repro/internal/checkpoint"
 )
 
 // logBuckets is the fixed bucket count of LogHist: power-of-two boundaries
@@ -85,6 +87,24 @@ func (h *LogHist) Quantile(q float64) uint64 {
 	return h.max
 }
 
+// SnapshotTo writes the histogram's state to a checkpoint.
+func (h *LogHist) SnapshotTo(w *checkpoint.Writer) {
+	for _, b := range h.buckets {
+		w.U64(b)
+	}
+	w.U64(h.count)
+	w.U64(h.sum)
+	w.U64(h.max)
+}
+
+// RestoreFrom overwrites the histogram with a state written by SnapshotTo.
+func (h *LogHist) RestoreFrom(r *checkpoint.Reader) {
+	for i := range h.buckets {
+		h.buckets[i] = r.U64()
+	}
+	h.count, h.sum, h.max = r.U64(), r.U64(), r.U64()
+}
+
 // summary renders one line: count, mean, p50/p95 upper bounds, max.
 func (h *LogHist) summary() string {
 	if h.count == 0 {
@@ -119,6 +139,9 @@ type Stats struct {
 	Injected uint64
 	Ejected  uint64
 	Acquires uint64
+
+	// regions is each thread's execution profile (see Gantt).
+	regions map[int32]*regionTrack
 }
 
 func (s *Stats) observe(ev *Event) {
@@ -145,6 +168,8 @@ func (s *Stats) observe(ev *Event) {
 		s.ArbWins[ev.B]++
 	case KindSALoss:
 		s.ArbLosses[ev.B]++
+	case KindRegion:
+		s.observeRegion(ev)
 	}
 }
 

@@ -222,88 +222,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantileBounds pins what Quantile reports today: the lower
-// bound of the power-of-two bucket the quantile falls in (1 for the [0,1)
-// bucket). metrics.Results.BTP95/COHP95 and with them the pinned seed
-// signatures depend on these values.
-func TestHistogramQuantileBounds(t *testing.T) {
-	for _, tc := range []struct {
-		buckets int
-		samples []uint64
-		q       float64
-		want    uint64
-	}{
-		{32, nil, 0.5, 0},
-		{32, []uint64{0}, 0.5, 1},
-		{32, []uint64{1}, 0.5, 1},
-		{32, []uint64{3}, 0.5, 2},
-		{32, []uint64{4}, 0.5, 4},
-		{32, []uint64{1000}, 0.95, 512},
-		{32, []uint64{1023}, 0.95, 512},
-		{32, []uint64{1024}, 0.95, 1024},
-		{32, []uint64{1, 2, 3, 100, 1000}, 0, 1},
-		{32, []uint64{1, 2, 3, 100, 1000}, 0.5, 2},
-		{32, []uint64{1, 2, 3, 100, 1000}, 0.95, 512},
-		{32, []uint64{1, 2, 3, 100, 1000}, 1, 512},
-		{4, []uint64{1000}, 0.5, 4}, // overflow bucket [4,inf): its lower bound
-	} {
-		h := NewHistogram(tc.buckets)
-		for _, v := range tc.samples {
-			h.Observe(v)
-		}
-		if got := h.Quantile(tc.q); got != tc.want {
-			t.Errorf("NewHistogram(%d) %v: Quantile(%v) = %d, want %d",
-				tc.buckets, tc.samples, tc.q, got, tc.want)
-		}
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10)
-	for _, v := range []uint64{0, 1, 2, 3, 4, 8, 100} {
-		h.Observe(v)
-	}
-	if h.Count() != 7 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Max() != 100 {
-		t.Fatalf("max = %f", h.Max())
-	}
-	if q := h.Quantile(0.5); q == 0 {
-		t.Fatal("median bound is zero")
-	}
-	if h.Quantile(0) > h.Quantile(1) {
-		t.Fatal("quantiles not monotone")
-	}
-	if h.String() == "" {
-		t.Fatal("empty render")
-	}
-	empty := NewHistogram(4)
-	if empty.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	samples := []uint64{5, 1, 9, 3, 7}
-	if p := Percentile(samples, 0); p != 1 {
-		t.Fatalf("p0 = %d", p)
-	}
-	if p := Percentile(samples, 100); p != 9 {
-		t.Fatalf("p100 = %d", p)
-	}
-	if p := Percentile(samples, 50); p != 5 {
-		t.Fatalf("p50 = %d", p)
-	}
-	if p := Percentile(nil, 50); p != 0 {
-		t.Fatal("nil samples")
-	}
-	// Original slice untouched.
-	if samples[0] != 5 {
-		t.Fatal("Percentile mutated input")
-	}
-}
-
 func TestDelayQueueProperty(t *testing.T) {
 	// Property: RunDue executes actions in (time, insertion) order.
 	f := func(times []uint16) bool {

@@ -13,8 +13,8 @@ import (
 )
 
 // TestExporterNamesMatchStringers pins the exporter's duplicated name
-// tables (kept local to internal/obs to avoid an import cycle) against the
-// authoritative Stringers in kernel and cpu.
+// and glyph tables (kept local to internal/obs to avoid an import cycle)
+// against the authoritative Stringers and constants in kernel and cpu.
 func TestExporterNamesMatchStringers(t *testing.T) {
 	for s := kernel.StateIdle; s <= kernel.StateHolding; s++ {
 		if got, want := obs.ThreadStateName(uint8(s)), s.String(); got != want {
@@ -24,6 +24,13 @@ func TestExporterNamesMatchStringers(t *testing.T) {
 	for r := cpu.RegionParallel; r <= cpu.RegionDone; r++ {
 		if got, want := obs.RegionName(uint8(r)), r.String(); got != want {
 			t.Errorf("RegionName(%d) = %q, want %q", r, got, want)
+		}
+	}
+	// The execution-profile glyphs: the legend every Gantt header prints.
+	glyphs := map[cpu.Region]byte{cpu.RegionParallel: '.', cpu.RegionBlocked: '#', cpu.RegionCS: 'C', cpu.RegionDone: ' '}
+	for r, want := range glyphs {
+		if got := obs.RegionGlyph(uint8(r)); got != want {
+			t.Errorf("RegionGlyph(%s) = %q, want %q", r, got, want)
 		}
 	}
 }

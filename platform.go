@@ -32,7 +32,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -66,8 +65,6 @@ type Config struct {
 	Seed uint64
 	// MaxCycles aborts a stuck run (0 = default guard).
 	MaxCycles uint64
-	// Trace enables per-thread region timeline recording (Fig. 10).
-	Trace bool
 	// Obs, when non-nil, attaches a structured-event recorder to every
 	// layer (NoC, lock kernel, cores, engine). Emission sites are
 	// read-only, so results are bit-identical with or without it (a
@@ -232,7 +229,6 @@ type System struct {
 	Kernel    *kernel.System
 	CPU       *cpu.System
 	Collector *metrics.Collector
-	Timeline  *trace.Timeline
 	// Faults is the attached injector (nil when Cfg.Faults is off).
 	Faults *fault.Injector
 	// Watchdog is the registered watchdog (nil when Cfg.Watchdog is nil).
@@ -348,10 +344,6 @@ func New(cfg Config) (*System, error) {
 		Faults:    inj,
 	}
 	ksys.SetListener(s.Collector)
-	if cfg.Trace {
-		s.Timeline = trace.NewTimeline()
-		csys.AddRegionListener(s.Timeline.Listener())
-	}
 	if cfg.Obs != nil {
 		net.SetObserver(cfg.Obs)
 		ksys.SetObserver(cfg.Obs)
@@ -442,9 +434,6 @@ func (s *System) Run() (metrics.Results, error) {
 	}
 	if err := s.watchdogErr(); err != nil {
 		return metrics.Results{}, err
-	}
-	if s.Timeline != nil {
-		s.Timeline.Close(s.Engine.Now())
 	}
 	name := s.Cfg.Benchmark.Name
 	if name == "" {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -156,18 +157,34 @@ func TestInvalidCustomProgram(t *testing.T) {
 	}
 }
 
+// TestTraceRecording renders the execution profile from a region-only
+// recorder and from a recorder of every kind whose tiny ring evicts
+// nearly all events: the Gantt comes from the streaming Stats, so both
+// agree.
 func TestTraceRecording(t *testing.T) {
-	sys, err := New(Config{Benchmark: smallProfile(), Threads: 16, Seed: 3, Trace: true})
-	if err != nil {
-		t.Fatal(err)
+	gantt := func(rec *obs.Recorder) string {
+		sys, err := New(Config{Benchmark: smallProfile(), Threads: 16, Seed: 3, Obs: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec.Stats.Gantt(8, res.ROIFinish, res.ROIFinish/40+1)
 	}
-	res, err := sys.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := sys.Timeline.RenderString(8, res.ROIFinish, res.ROIFinish/40+1)
-	if !strings.Contains(out, "t00") || !strings.Contains(out, "breakdown:") {
+	prof := obs.NewProfileRecorder()
+	out := gantt(prof)
+	if !strings.Contains(out, "t00") || !strings.Contains(out, "t07") || strings.Contains(out, "t08") ||
+		!strings.Contains(out, "breakdown:") {
 		t.Fatalf("trace output wrong:\n%s", out)
+	}
+	tiny := obs.NewRecorder(16)
+	if got := gantt(tiny); got != out {
+		t.Fatalf("profile differs between recorders:\n%s\nvs\n%s", out, got)
+	}
+	if tiny.Dropped() == 0 {
+		t.Fatal("tiny ring never wrapped")
 	}
 }
 

@@ -65,12 +65,16 @@ func experimentRun(p workload.Profile, threads int, ocor bool, levels int, seed 
 	return sys.Run()
 }
 
-// experimentTrace is the experiments.TraceRunner: it runs with timeline
-// recording enabled and renders the first window cycles of the first
-// traceThreads threads (window 0 selects 1/8 of the run, mirroring the
-// paper's 3000-cycle excerpt).
-func experimentTrace(p workload.Profile, threads int, ocor bool, seed uint64, protocol string, traceThreads int, window uint64, nopool bool, workers int) (metrics.Results, string, error) {
-	sys, err := New(Config{Benchmark: p, Threads: threads, OCOR: ocor, Seed: seed, Protocol: protocol, Trace: true, NoPool: nopool, Workers: workers})
+// fig10Threads is how many threads the Fig. 10 execution profile shows.
+const fig10Threads = 16
+
+// experimentTrace is the experiments.TraceRunner: it runs with a
+// region-only recorder attached and renders the execution profile of the
+// first fig10Threads threads over the first eighth of the run, mirroring
+// the paper's 3000-cycle excerpt.
+func experimentTrace(p workload.Profile, threads int, ocor bool, seed uint64, protocol string, nopool bool, workers int) (metrics.Results, string, error) {
+	rec := obs.NewProfileRecorder()
+	sys, err := New(Config{Benchmark: p, Threads: threads, OCOR: ocor, Seed: seed, Protocol: protocol, Obs: rec, NoPool: nopool, Workers: workers})
 	if err != nil {
 		return metrics.Results{}, "", err
 	}
@@ -78,28 +82,22 @@ func experimentTrace(p workload.Profile, threads int, ocor bool, seed uint64, pr
 	if err != nil {
 		return metrics.Results{}, "", err
 	}
+	window := res.ROIFinish / 8
 	if window == 0 {
-		window = res.ROIFinish / 8
-		if window == 0 {
-			window = res.ROIFinish
-		}
+		window = res.ROIFinish
 	}
-	col := window / 60
-	if col == 0 {
-		col = 1
-	}
-	return res, sys.Timeline.RenderString(traceThreads, window, col), nil
+	col := max(window/60, 1)
+	return res, rec.Stats.Gantt(fig10Threads, window, col), nil
 }
 
-// experimentArenaRun is the experiments.ArenaRunner: one tournament cell
-// with a streaming observer attached, so the arena gets per-acquisition
-// blocking-time and COH histograms plus the kernel's handoff and
-// queue-depth counters alongside the standard results.
+// experimentArenaRun is the experiments.ArenaRunner: one tournament cell.
+// The arena gets the collector's per-acquisition blocking-time and COH
+// histograms plus the kernel's handoff and queue-depth counters alongside
+// the standard results.
 func experimentArenaRun(p workload.Profile, threads int, ocor bool, seed uint64, protocol string, workers int) (experiments.ArenaRun, error) {
-	rec := obs.NewRecorder(0)
 	sys, err := New(Config{
 		Benchmark: p, Threads: threads, OCOR: ocor, Seed: seed,
-		Protocol: protocol, Workers: workers, Obs: rec,
+		Protocol: protocol, Workers: workers,
 	})
 	if err != nil {
 		return experiments.ArenaRun{}, err
@@ -108,7 +106,7 @@ func experimentArenaRun(p workload.Profile, threads int, ocor bool, seed uint64,
 	if err != nil {
 		return experiments.ArenaRun{}, err
 	}
-	run := experiments.ArenaRun{Results: res, BT: rec.Stats.BT, COH: rec.Stats.COH}
+	run := experiments.ArenaRun{Results: res, BT: sys.Collector.BTHist, COH: sys.Collector.COHHist}
 	for _, st := range sys.Kernel.LockStats(sys.Engine.Now()) {
 		run.Handoffs += st.Handoffs
 		if st.MaxQueueDepth > run.MaxQueueDepth {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 )
@@ -97,5 +98,32 @@ func TestWarmGridEmitOrder(t *testing.T) {
 	c2, _ := json.Marshal(res[2])
 	if !bytes.Equal(c0, c2) {
 		t.Fatal("duplicate cells returned different results")
+	}
+}
+
+// TestStalePrefixFileRunsCold plants a prefix file of the previous
+// checkpoint format version where DirPrefixCache looks for a cell's
+// prefix: the load misses, and the warm runner gives the cold results.
+func TestStalePrefixFileRunsCold(t *testing.T) {
+	c := experiments.Cell{Profile: detProfile(), Threads: 16, OCOR: true, Seed: 7}
+	cache := DirPrefixCache(t.TempDir())
+	cache.Store(c.PrefixKey(), &checkpoint.Snapshot{Version: checkpoint.Version - 1, Data: []byte{1}}, 100)
+	if _, _, ok := cache.Load(c.PrefixKey()); ok {
+		t.Fatal("a prefix file of the previous format version loaded")
+	}
+	warm, err := CellRunner(CellRunnerOptions{Warm: true, Cache: cache})(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := New(Config{Benchmark: c.Profile, Threads: c.Threads, OCOR: c.OCOR, Seed: c.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm != cold {
+		t.Fatalf("warm run after a stale prefix file:\n%+v\ncold:\n%+v", warm, cold)
 	}
 }
